@@ -115,7 +115,6 @@ let check_bench path =
     [
       "qarma_mac_fast"; "machine_step"; "machine_step_threaded";
       "machine_step_registry"; "machine_load"; "fuzz_program"; "inject_fault";
-      "scheduler_event"; "fleet_request";
     ];
   (match require_member "gates" doc with
   | Json.Null -> ()

@@ -1,8 +1,8 @@
 (* The benchmark harness: regenerates every table and figure of the
    paper's evaluation (via Pacstack_report), runs one Bechamel
    micro-benchmark per table/figure plus primitive micro-benchmarks, and
-   measures the hot-path sections (MAC, machine step, loader, fuzz,
-   injection and fleet throughput) that BENCH_09.json records, plus the
+   measures the hot-path sections (MAC, machine step, loader, fuzz and
+   injection throughput) that BENCH_09.json records, plus the
    lib/obs disabled-path overhead bound and the mega-campaign engine tax
    over the raw streaming fold.
 
@@ -30,8 +30,6 @@ module Prf = Pacstack_qarma.Prf
 module Obs = Pacstack_obs.Obs
 module Inject_engine = Pacstack_inject.Engine
 module Mega = Pacstack_inject.Mega
-module Fleet = Pacstack_fleet.Fleet
-module Scheduler = Pacstack_fleet.Scheduler
 
 let ( .%[] ) tbl key = Hashtbl.find tbl key
 
@@ -281,45 +279,7 @@ let perf_sections () =
   let ti1, i1 = time_inject 1 in
   let _, i4 = traced (fun sink -> time_inject ~progress:sink 4) in
   if i1 <> i4 then failwith "bench: injection results differ across worker counts";
-  (* fleet: 1k open-loop connections against unprotected and pacstack;
-     ns per simulated request (service-cost calibration included), with
-     the same traced-4-worker identity check as fuzz and injection *)
-  let fleet_cfg =
-    {
-      Fleet.default with
-      Fleet.connections = 1000;
-      duration_s = 1.0;
-      schemes = [ Scheme.unprotected; Scheme.pacstack ];
-    }
-  in
-  let time_fleet ?progress workers =
-    let t0 = Unix.gettimeofday () in
-    let o = Campaign.run ~workers ?progress (Fleet.plan fleet_cfg) in
-    (Unix.gettimeofday () -. t0, Fleet.tabulate fleet_cfg o)
-  in
-  let tfl1, fl1 = time_fleet 1 in
-  let _, fl4 = traced (fun sink -> time_fleet ~progress:sink 4) in
-  if fl1 <> fl4 then failwith "bench: fleet results differ across worker counts";
-  let fleet_requests =
-    List.fold_left (fun acc (r : Fleet.stats) -> acc + r.Fleet.completed) 0 fl1
-  in
-  Format.printf
-    "fuzz, injection and fleet results identical at 1 worker vs traced 4 workers: true@.";
-  (* the fleet's event queue alone: one push + one pop per event on a
-     randomly-ordered 4k-event backlog *)
-  let sched_ns =
-    let n = 4096 in
-    let rng = Rng.create 3L in
-    let times = Array.init n (fun _ -> Rng.int rng 1_000_000) in
-    time_per_op ~iters:200 (fun () ->
-        let h = Scheduler.create () in
-        for i = 0 to n - 1 do
-          Scheduler.push h ~time:times.(i) ~tie:0 i
-        done;
-        let rec drain acc = match Scheduler.pop h with None -> acc | Some _ -> drain (acc + 1) in
-        drain 0)
-    /. float_of_int n
-  in
+  Format.printf "fuzz and injection results identical at 1 worker vs traced 4 workers: true@.";
   [
     section "qarma_mac_reference" ref_ns;
     section ~before:ref_ns ~src:"reference oracle, this run" "qarma_mac_fast" fast_ns;
@@ -333,8 +293,6 @@ let perf_sections () =
       (tf1 *. 1e9 /. float_of_int fuzz_seeds);
     section ~before:seed_inject_ns ~src:seed_src "inject_fault"
       (ti1 *. 1e9 /. float_of_int faults);
-    section "scheduler_event" sched_ns;
-    section "fleet_request" (tfl1 *. 1e9 /. float_of_int (max 1 fleet_requests));
   ]
 
 let print_sections sections =
@@ -569,7 +527,7 @@ let print_obs_cost c =
    numbers measured on the development host — so the CI perf-smoke job
    catches order-of-magnitude regressions, not machine-to-machine noise.
    Re-baselined after the threaded-code engine landed: everything that
-   runs machines (fuzz, injection, fleet, the step rates themselves) got
+   runs machines (fuzz, injection, the step rates themselves) got
    faster, so the old floors had drifted to 5-15x headroom.
    The obs gates run the other way: ceilings on the disabled-path
    instrumentation overhead. *)
@@ -610,10 +568,6 @@ let gates sections obs cost alloc =
       op = Floor; limit = 40.; value = (s "fuzz_program").ops_per_sec };
     { gname = "inject_rate"; metric = "injected faults per second";
       op = Floor; limit = 50.; value = (s "inject_fault").ops_per_sec };
-    { gname = "scheduler_rate"; metric = "fleet scheduler events per second";
-      op = Floor; limit = 500_000.; value = (s "scheduler_event").ops_per_sec };
-    { gname = "fleet_rate"; metric = "simulated fleet requests per second";
-      op = Floor; limit = 4_000.; value = (s "fleet_request").ops_per_sec };
     { gname = "obs_machine_overhead"; metric = "disabled obs overhead on machine step (%)";
       op = Ceiling; limit = 2.0; value = obs.machine_pct };
     { gname = "obs_fuzz_overhead"; metric = "disabled obs overhead on fuzz seed (%)";

@@ -13,8 +13,6 @@ module Plans = Pacstack_report.Plans
 module Fuzz_driver = Pacstack_fuzz.Driver
 module Inject_engine = Pacstack_inject.Engine
 module Mega = Pacstack_inject.Mega
-module Fleet = Pacstack_fleet.Fleet
-module Fleet_arrival = Pacstack_fleet.Arrival
 module Obs = Pacstack_obs.Obs
 
 let scheme_conv =
@@ -616,132 +614,6 @@ let inject_cmd =
       const action $ faults $ workers $ seed $ scheme $ pac_bits $ resume $ gate $ no_gate
       $ mega $ isolation $ shard_timeout $ shard_faults $ compact_every $ trace_arg $ quiet)
 
-(* --- fleet: open-loop traffic simulation --------------------------------- *)
-
-let fleet_cmd =
-  let open Pacstack_campaign in
-  let connections =
-    Arg.(
-      value
-      & opt int Fleet.default.Fleet.connections
-      & info [ "n"; "connections" ] ~doc:"Concurrent connections across the fleet.")
-  in
-  let duration =
-    Arg.(
-      value
-      & opt float Fleet.default.Fleet.duration_s
-      & info [ "duration" ] ~docv:"SECONDS"
-          ~doc:"Virtual seconds of offered load (wall-clock free; the clock is simulated).")
-  in
-  let arrival =
-    let names = String.concat ", " (List.map fst Fleet_arrival.presets) in
-    Arg.(
-      value
-      & opt (enum Fleet_arrival.presets) (List.assoc "poisson" Fleet_arrival.presets)
-      & info [ "arrival" ] ~docv:"PRESET" ~doc:("Arrival process: one of " ^ names ^ "."))
-  in
-  let cells =
-    Arg.(
-      value
-      & opt int Fleet.default.Fleet.cells
-      & info [ "cells" ]
-          ~doc:
-            "Independent contention cells the fleet is cut into. Part of the experiment \
-             configuration (it fixes the shard structure), not a parallelism knob — that \
-             is $(b,--workers).")
-  in
-  let cores =
-    Arg.(
-      value
-      & opt int Fleet.default.Fleet.cores
-      & info [ "cores" ] ~doc:"Server cores per cell.")
-  in
-  let workers =
-    Arg.(
-      value & opt int 1
-      & info [ "w"; "workers" ]
-          ~doc:
-            "Worker domains. The latency table is bit-identical for any value; 0 means one \
-             per recommended domain.")
-  in
-  let seed =
-    Arg.(
-      value
-      & opt int64 Fleet.default.Fleet.seed
-      & info [ "seed" ]
-          ~doc:"Fleet seed; connection $(i,c)'s whole arrival stream depends only on (seed, c).")
-  in
-  let scheme =
-    Arg.(
-      value
-      & opt (some scheme_conv) None
-      & info [ "s"; "scheme" ] ~doc:"Restrict to one hardening scheme (default: every registered scheme).")
-  in
-  let resume =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "resume" ] ~docv:"FILE"
-          ~doc:
-            "Checkpoint manifest. Created if absent; (scheme, cell) shards already recorded \
-             there are restored instead of re-run.")
-  in
-  let json_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"OUT"
-          ~doc:"Also write the per-scheme latency table as JSON to $(docv).")
-  in
-  let quiet =
-    Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Suppress progress events on stderr.")
-  in
-  let action connections duration arrival cells cores workers seed scheme resume json_out
-      trace quiet =
-    with_campaign_signals @@ fun () ->
-    let cfg =
-      {
-        Fleet.connections;
-        duration_s = duration;
-        arrival;
-        cells;
-        cores;
-        seed;
-        schemes =
-          (match scheme with Some s -> [ s ] | None -> Fleet.default.Fleet.schemes);
-      }
-    in
-    match Fleet.validate cfg with
-    | exception Invalid_argument msg ->
-      Printf.eprintf "pacstack: %s\n" msg;
-      1
-    | () ->
-      with_trace trace @@ fun obs ->
-      let workers = if workers = 0 then Pool.default_workers () else workers in
-      let render = if quiet then Progress.null else Progress.formatter Format.err_formatter in
-      let progress e = obs e; render e in
-      let json =
-        Plans.fleet_execute cfg ~workers ~seed ~checkpoint:resume ~progress
-          Format.std_formatter
-      in
-      (match json_out with
-      | None -> ()
-      | Some path ->
-        Out_channel.with_open_text path (fun oc ->
-            Out_channel.output_string oc (Json.to_string json ^ "\n"));
-        Printf.printf "wrote %s\n" path);
-      0
-  in
-  Cmd.v
-    (Cmd.info "fleet"
-       ~doc:
-         "Simulate a fleet of open-loop connections against every hardening scheme in \
-          virtual time and report per-scheme latency quantiles (p50/p95/p99/p999). The \
-          table is bit-identical at any --workers.")
-    Term.(
-      const action $ connections $ duration $ arrival $ cells $ cores $ workers $ seed
-      $ scheme $ resume $ json_out $ trace_arg $ quiet)
-
 (* --- metrics: the lib/obs observability sampler --------------------------- *)
 
 let metrics_cmd =
@@ -852,7 +724,6 @@ let cmds =
     cc_cmd;
     fuzz_cmd;
     inject_cmd;
-    fleet_cmd;
     bench_cmd;
     confirm_cmd;
     metrics_cmd;

@@ -18,10 +18,6 @@ let table1_success_probability ~masked kind ~bits =
 
 let collision_harvest_mean ~bits = Stats.birthday_expected_tokens ~bits
 
-let collision_probability ~bits ~harvested =
-  Stats.birthday_collision_probability ~bits ~drawn:harvested
-
 let guesses_divide_and_conquer ~bits = 2.0 *. ((pow2 bits +. 1.0) /. 2.0)
 let guesses_reseeded ~bits = 2.0 *. pow2 bits
 let guesses_independent ~bits = pow2 (2 * bits)
-let single_process_guesses ~bits ~p = Stats.guesses_for_success ~bits ~p

@@ -20,9 +20,6 @@ let estimate ~successes ~trials =
    shard estimates are identical however the campaign ordered them. *)
 let merge_estimates a b = estimate ~successes:(a.successes + b.successes) ~trials:(a.trials + b.trials)
 
-let pp_estimate fmt e =
-  Format.fprintf fmt "%d/%d = %.2e [%.2e, %.2e]" e.successes e.trials e.rate e.ci_low e.ci_high
-
 let fresh_prf rng = Prf.create_fast (Rng.next64 rng)
 
 let token prf ~bits ~data ~modifier = Prf.mac prf ~bits ~data ~modifier

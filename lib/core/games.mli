@@ -13,8 +13,6 @@ type estimate = {
   ci_high : float;  (** 95 % Wilson interval *)
 }
 
-val pp_estimate : Format.formatter -> estimate -> unit
-
 val estimate : successes:int -> trials:int -> estimate
 (** Wraps a raw (successes, trials) count, deriving rate and interval. *)
 

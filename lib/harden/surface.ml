@@ -9,11 +9,6 @@
 
 type slot = Scheme.slot = Return_slot | Chain_slot | Shadow_slot
 
-let slot_to_string = function
-  | Return_slot -> "return-slot"
-  | Chain_slot -> "chain-slot"
-  | Shadow_slot -> "shadow-slot"
-
 (* Offsets are relative to a non-leaf function's frame pointer (see the
    push_record / pacstack_prologue sequences in scheme.ml):
    [fp + 8]  the plain saved LR of the frame record;

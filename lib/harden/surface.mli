@@ -8,8 +8,6 @@ type slot = Scheme.slot =
   | Chain_slot  (** the PACStack/Zipper CR spill at [fp - 16] *)
   | Shadow_slot  (** the function's X18 shadow-stack entry *)
 
-val slot_to_string : slot -> string
-
 val return_slot_offset : int
 (** [+8], relative to the frame pointer. *)
 

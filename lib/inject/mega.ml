@@ -119,9 +119,6 @@ let truncate_repro repro =
 let silent_total t =
   List.fold_left (fun n (_, c) -> n + c.silent) 0 t.cells
 
-let detected_total t =
-  List.fold_left (fun n (_, c) -> n + c.detected) 0 t.cells
-
 (* Not a stored field: deriving it keeps [merge] a plain pointwise
    operation with no cross-field invariant to maintain. *)
 let repro_dropped t = silent_total t - List.length t.repro

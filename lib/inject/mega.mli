@@ -46,7 +46,6 @@ type t = {
 val empty : t
 
 val silent_total : t -> int
-val detected_total : t -> int
 
 val repro_dropped : t -> int
 (** Silent events beyond {!repro_cap} whose reproducers were not

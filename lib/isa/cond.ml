@@ -36,8 +36,6 @@ let pp fmt c = Format.pp_print_string fmt (to_string c)
 
 type flags = { n : bool; z : bool; c : bool; v : bool }
 
-let flags_zero = { n = false; z = false; c = false; v = false }
-
 let of_compare a b =
   let diff = Int64.sub a b in
   let n = diff < 0L in

@@ -9,7 +9,6 @@ val pp : Format.formatter -> t -> unit
 
 type flags = { n : bool; z : bool; c : bool; v : bool }
 
-val flags_zero : flags
 val of_compare : Pacstack_util.Word64.t -> Pacstack_util.Word64.t -> flags
 (** Flags produced by [cmp a, b] (i.e. [a - b]). *)
 

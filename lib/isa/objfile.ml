@@ -174,8 +174,6 @@ let read s =
   if r.pos <> String.length s then raise (Corrupt "trailing bytes");
   { funcs; data }
 
-let save t path = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc (write t))
-
 let load path =
   match In_channel.with_open_bin path In_channel.input_all with
   | s -> read s

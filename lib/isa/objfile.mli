@@ -29,7 +29,4 @@ val write : t -> string
 val read : string -> t
 (** Inverse of {!write}. *)
 
-val save : t -> string -> unit
-(** [save t path] writes the object file to disk. *)
-
 val load : string -> t

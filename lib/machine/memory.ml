@@ -7,12 +7,6 @@ let perm_rw = { readable = true; writable = true; executable = false }
 let perm_rx = { readable = true; writable = false; executable = true }
 let perm_none = { readable = false; writable = false; executable = false }
 
-let pp_perm fmt p =
-  Format.fprintf fmt "%c%c%c"
-    (if p.readable then 'r' else '-')
-    (if p.writable then 'w' else '-')
-    (if p.executable then 'x' else '-')
-
 let page_size = 4096
 let page_bits = 12
 
@@ -116,7 +110,6 @@ let protect t ~addr ~size perm =
 
 let find t addr = Hashtbl.find_opt t.pages (page_index addr)
 
-let is_mapped t addr = find t addr <> None
 let perm_at t addr = Option.map (fun p -> p.perm) (find t addr)
 
 (* Hot-path translation: one compare on a TLB hit, one hashtable probe on

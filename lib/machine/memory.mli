@@ -15,7 +15,6 @@ type perm = { readable : bool; writable : bool; executable : bool }
 val perm_r : perm
 val perm_rw : perm
 val perm_rx : perm
-val pp_perm : Format.formatter -> perm -> unit
 
 type t
 
@@ -36,7 +35,6 @@ val protect : t -> addr:Pacstack_util.Word64.t -> size:int -> perm -> unit
     their contents. W⊕X is still enforced; unmapped pages raise
     [Invalid_argument]. *)
 
-val is_mapped : t -> Pacstack_util.Word64.t -> bool
 val perm_at : t -> Pacstack_util.Word64.t -> perm option
 
 val load8 : t -> Pacstack_util.Word64.t -> int

@@ -41,7 +41,5 @@ let rec fixpoint items =
 
 let function_pass (f : Program.func) = { f with body = fixpoint f.body }
 
-let program_pass (p : Program.t) = Program.map_funcs function_pass p
-
 let removed_count before after =
   Program.instruction_count before - Program.instruction_count after

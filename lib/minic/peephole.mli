@@ -15,7 +15,5 @@
 
 val function_pass : Pacstack_isa.Program.func -> Pacstack_isa.Program.func
 
-val program_pass : Pacstack_isa.Program.t -> Pacstack_isa.Program.t
-
 val removed_count : Pacstack_isa.Program.t -> Pacstack_isa.Program.t -> int
 (** Instructions eliminated between an input and output program. *)

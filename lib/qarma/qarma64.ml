@@ -6,7 +6,6 @@ type key = { w0 : Word64.t; k0 : Word64.t }
 let key ~w0 ~k0 = { w0; k0 }
 let random_key rng = { w0 = Rng.next64 rng; k0 = Rng.next64 rng }
 let key_equal a b = Word64.equal a.w0 b.w0 && Word64.equal a.k0 b.k0
-let pp_key fmt k = Format.fprintf fmt "(w0=%a k0=%a)" Word64.pp k.w0 Word64.pp k.k0
 
 let default_rounds = 7
 

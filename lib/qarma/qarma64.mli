@@ -19,7 +19,6 @@ type key = private {
 val key : w0:Pacstack_util.Word64.t -> k0:Pacstack_util.Word64.t -> key
 val random_key : Pacstack_util.Rng.t -> key
 val key_equal : key -> key -> bool
-val pp_key : Format.formatter -> key -> unit
 
 val default_rounds : int
 (** 7, the full-strength QARMA-64 parameter. *)

@@ -8,9 +8,6 @@ module Bruteforce = Pacstack_attacker.Bruteforce
 module Inject_engine = Pacstack_inject.Engine
 module Mega = Pacstack_inject.Mega
 module Stats = Pacstack_util.Stats
-module Fleet = Pacstack_fleet.Fleet
-module Fleet_arrival = Pacstack_fleet.Arrival
-module Fleet_json = Pacstack_fleet.Json
 module Campaign = Pacstack_campaign.Campaign
 module Plan = Pacstack_campaign.Plan
 module Shard = Pacstack_campaign.Shard
@@ -838,33 +835,6 @@ let fuzz_entry =
         Json.Obj (outcome_header outcome @ fuzz_stats_json totals));
   }
 
-(* --- fleet simulation ----------------------------------------------------- *)
-
-let fleet_execute cfg ~workers ~seed ~checkpoint ~progress fmt =
-  let cfg = { cfg with Fleet.seed } in
-  let plan = Fleet.plan cfg in
-  let outcome =
-    Campaign.run ~workers ~progress
-      ?checkpoint:(with_checkpoint checkpoint Fleet_json.checkpoint_codec) plan
-  in
-  let rows = Fleet.tabulate cfg outcome in
-  Format.fprintf fmt "fleet: %d connections, %.2f virtual s, %s arrivals, %d cells x %d cores@."
-    cfg.Fleet.connections cfg.Fleet.duration_s
-    (Fleet_arrival.to_string cfg.Fleet.arrival)
-    cfg.Fleet.cells cfg.Fleet.cores;
-  Fleet.pp_table cfg fmt rows;
-  match Fleet_json.table_to_json cfg rows with
-  | Json.Obj fields -> Json.Obj (outcome_header outcome @ fields @ [ quarantine_json outcome ])
-  | other -> other
-
-let fleet_entry =
-  {
-    name = "fleet";
-    doc = "fleet-scale open-loop traffic with per-scheme tail latency";
-    default_seed = Fleet.default.Fleet.seed;
-    execute = fleet_execute Fleet.default;
-  }
-
 let inject_entry =
   {
     name = "inject";
@@ -895,7 +865,7 @@ let inject_entry =
 let entries =
   [
     table1_entry; birthday_entry; guessing_entry; bruteforce_entry; spec_entry;
-    server_entry; fuzz_entry; inject_entry; fleet_entry;
+    server_entry; fuzz_entry; inject_entry;
   ]
 
 let find name = List.find_opt (fun e -> e.name = name) entries

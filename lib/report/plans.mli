@@ -172,22 +172,6 @@ val pp_mega_table : Format.formatter -> Pacstack_inject.Mega.t -> unit
 val quarantine_json : _ Campaign.outcome -> string * Json.t
 (** The outcome's quarantined shards as a JSON field. *)
 
-(** {1 Fleet simulation} *)
-
-val fleet_execute :
-  Pacstack_fleet.Fleet.config ->
-  workers:int ->
-  seed:int64 ->
-  checkpoint:string option ->
-  progress:Progress.sink ->
-  Format.formatter ->
-  Json.t
-(** Runs the fleet campaign ({!Pacstack_fleet.Fleet.plan}) for the given
-    configuration ([seed] overrides the config's), prints the per-scheme
-    latency table, and returns the merged table as JSON — the shared
-    engine behind both the [campaign fleet] entry (default config) and
-    the dedicated [fleet] subcommand (parsed flags). *)
-
 (** {1 Overhead sweeps} *)
 
 val spec_plan : seed:int64 -> unit -> Pacstack_workloads.Speclike.measurement Plan.t

@@ -418,13 +418,6 @@ let injection ?(seed = 7L) ?(workers = 1) ?(faults = 120) ?progress fmt =
   | [] -> ()
   | qs -> Format.fprintf fmt "quarantined shards: %d@." (List.length qs)
 
-let fleet ?(seed = 7L) ?(workers = 1) ?(connections = 192) ?(progress = Progress.null) fmt =
-  section fmt "Fleet simulation: per-scheme tail latency under open-loop load";
-  let cfg =
-    { Pacstack_fleet.Fleet.default with connections; duration_s = 1.0; cells = 4; seed }
-  in
-  ignore (Plans.fleet_execute cfg ~workers ~seed ~checkpoint:None ~progress fmt)
-
 (* --- observability ------------------------------------------------------ *)
 
 module Obs = Pacstack_obs.Obs
@@ -467,5 +460,4 @@ let all ?(seed = 1L) ?(workers = 1) fmt =
   gadget_surface fmt;
   sp_collisions fmt;
   injection ~workers fmt;
-  fleet ~workers fmt;
   confirm fmt

@@ -76,14 +76,6 @@ val injection :
 val confirm : Format.formatter -> unit
 (** §7.3: the compatibility suite across all schemes. *)
 
-val fleet :
-  ?seed:int64 -> ?workers:int -> ?connections:int ->
-  ?progress:Pacstack_campaign.Progress.sink -> Format.formatter -> unit
-(** Fleet simulation (lib/fleet): a reduced open-loop run — default 192
-    connections for 1 virtual second over 4 cells, every scheme — and
-    the per-scheme p50/p95/p99/p999 latency table. Identical for any
-    worker count, like every campaign-backed section. *)
-
 val observability :
   ?scheme:Pacstack_harden.Scheme.t -> Format.formatter -> unit
 (** Enables lib/obs, runs a small sampler through every instrumented

@@ -48,9 +48,8 @@ let percentile xs p =
 
 let median xs = percentile xs 50.0
 
-(* One sort, many ranks: the per-scheme tail-latency tables ask for
-   p50/p95/p99/p999 of the same samples, and sorting once is what makes
-   that linear instead of quadratic in the number of ranks. *)
+(* One sort, many ranks: asking several percentiles of the same samples
+   sorts once instead of once per rank. *)
 let percentiles xs ps =
   List.iter
     (fun p ->
@@ -121,7 +120,12 @@ let wilson ~successes ~trials =
     let denom = 1.0 +. (z2 /. n) in
     let centre = (p +. (z2 /. (2.0 *. n))) /. denom in
     let half = z /. denom *. sqrt (((p *. (1.0 -. p)) /. n) +. (z2 /. (4.0 *. n *. n))) in
-    (max 0.0 (centre -. half), min 1.0 (centre +. half))
+    (* At 0 or [trials] successes the exact bound is 0 or 1, but
+       [centre -. half] rounds to ~1e-17 above 0 (or [centre +. half] to
+       one ulp below 1), which would put the point estimate outside its
+       own interval. *)
+    ( (if successes = 0 then 0.0 else max 0.0 (centre -. half)),
+      if successes = trials then 1.0 else min 1.0 (centre +. half) )
 
 let binomial_ci ~successes ~trials =
   if trials <= 0 then invalid_arg "Stats.binomial_ci";

@@ -21,7 +21,7 @@ val percentile : float list -> float -> float
 val percentiles : float list -> float list -> float list
 (** [percentiles xs ps] is [List.map (percentile xs) ps] computed with a
     single sort — use it when asking several ranks of the same samples
-    (the p50/p95/p99/p999 latency tables). Same validation and
+    (say p50 and p95 of one latency list). Same validation and
     interpolation as {!percentile}, so the results agree exactly. *)
 
 val weighted_percentile : bounds:float array -> counts:int array -> float -> float
@@ -31,9 +31,9 @@ val weighted_percentile : bounds:float array -> counts:int array -> float -> flo
     [counts] and must be strictly increasing. Linear interpolation inside
     the bucket containing the rank, so the answer is within one bucket
     width of {!percentile} on the raw samples. This is the
-    sufficient-statistics path: the fleet simulator folds millions of
-    request latencies into constant-size bucket counts and still reports
-    tails. Raises [Invalid_argument] on an empty histogram, malformed
+    sufficient-statistics path: {!Pacstack_inject.Mega} folds millions of
+    detection latencies into constant-size log2 bucket counts and still
+    reports their p95. Raises [Invalid_argument] on an empty histogram, malformed
     bounds or an out-of-range [p]. *)
 
 val wilson : successes:int -> trials:int -> float * float

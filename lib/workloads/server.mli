@@ -20,58 +20,6 @@ type result = {
   mem_ops_per_request : float;
 }
 
-(** The reusable request physics: the handshake kernel, the request-size
-    jitter and the calibrated contention model, shared by this Table 3
-    experiment and the fleet simulator (lib/fleet). Everything here is a
-    pure function of its arguments (machine execution is deterministic),
-    so both consumers see identical per-request costs. *)
-module Kernel : sig
-  val base_records : int
-  (** The response size of an unjittered request, in records (72). *)
-
-  val records : variant:int -> int
-  (** Request-size jitter: [base_records + variant mod 9], the ±σ of
-      Table 3's client-side variance. *)
-
-  val program : records:int -> Pacstack_minic.Ast.program
-  (** One request: key exchange + cipher/MAC over [records] records. *)
-
-  val clock_hz : float
-  (** Simulated core clock pinning absolute throughput near Table 3. *)
-
-  val scaling : int -> float
-  (** Worker-count scaling factor (the paper's superlinear 8-worker
-      baseline). *)
-
-  val contention : int -> float
-  (** Memory-contention charge per *extra* memory operation at a worker
-      count — 43 at 8 workers, 1 otherwise (see DESIGN.md). *)
-
-  val compiled :
-    scheme:Pacstack_harden.Scheme.t -> records:int -> Pacstack_isa.Program.t
-  (** The request compiled under a scheme, ready for [Machine.load]. *)
-
-  val execute : ?obs_label:string -> Pacstack_isa.Program.t -> float * float
-  (** Loads and runs one compiled request; [(cycles, memory operations)].
-      Raises [Failure] if the request faults or runs out of fuel. A
-      non-empty [obs_label] attributes the machine's lib/obs counters. *)
-
-  val measure_request :
-    scheme:Pacstack_harden.Scheme.t -> records:int -> float * float
-  (** [execute] of [compiled], labelled with the scheme. *)
-
-  val throughput :
-    workers:int -> base_mem:float -> cycles:float -> mem_ops:float -> float
-  (** Requests per second of [workers] cores at this per-request cost:
-      [workers * clock * scaling / (cycles + contention * extra_mem)]
-      where [extra_mem = max 0 (mem_ops - base_mem)]. *)
-end
-
-val handshake_program : variant:int -> Pacstack_minic.Ast.program
-(** One request: key exchange + record processing; [variant] jitters the
-    record count as different clients would.
-    [Kernel.program ~records:(Kernel.records ~variant)]. *)
-
 val measure :
   scheme:Pacstack_harden.Scheme.t -> workers:int -> ?variants:int -> unit -> result
 (** Runs [variants] (default 10) request variants under the scheme and
