@@ -3,7 +3,7 @@
    micro-benchmark per table/figure plus primitive micro-benchmarks, and
    measures the hot-path sections (MAC, machine step, loader, fuzz and
    injection throughput) that BENCH_09.json records, plus the
-   lib/obs disabled-path overhead bound and the mega-campaign engine tax
+   lib/obs disabled-path overhead bound and the campaign engine tax
    over the raw streaming fold.
 
    Modes:
@@ -29,7 +29,6 @@ module Qarma64 = Pacstack_qarma.Qarma64
 module Prf = Pacstack_qarma.Prf
 module Obs = Pacstack_obs.Obs
 module Inject_engine = Pacstack_inject.Engine
-module Mega = Pacstack_inject.Mega
 
 let ( .%[] ) tbl key = Hashtbl.find tbl key
 
@@ -305,9 +304,9 @@ let print_sections sections =
         (match speedup s with Some v -> Printf.sprintf "%.2fx" v | None -> "-"))
     sections
 
-(* --- mega-campaign engine tax -------------------------------------------- *)
+(* --- campaign engine tax ------------------------------------------------- *)
 
-(* ns/fault of the raw streaming fold (Mega.run_range called directly)
+(* ns/fault of the raw streaming fold (Engine.run_range called directly)
    versus the same faults driven through the full campaign machinery:
    shards, checkpoint manifest, hierarchical compaction. The difference
    is what a 10^8-fault run pays for crash tolerance per fault, gated as
@@ -322,25 +321,25 @@ type campaign_cost = {
 }
 
 let campaign_cost () =
-  Format.printf "@.measuring mega-campaign engine tax...@.";
+  Format.printf "@.measuring campaign engine tax...@.";
   let co_faults = 32 and seed = 7L in
   let raw () =
-    Mega.run_range Inject_engine.default_config ~campaign_seed:seed ~first:0
+    Inject_engine.run_range Inject_engine.default_config ~campaign_seed:seed ~first:0
       ~count:co_faults
   in
   let engine () =
-    let path = Filename.temp_file "pacstack_bench_mega" ".jsonl" in
+    let path = Filename.temp_file "pacstack_bench_campaign" ".jsonl" in
     Sys.remove path;
     Fun.protect
       ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
       (fun () ->
         let outcome =
           Campaign.run ~workers:1
-            ~checkpoint:(path, Plans.mega_codec)
-            ~compaction:(Plans.mega_compaction ~keep:2)
-            (Plans.mega_plan ~faults:co_faults ~shard_faults:8 ~seed ())
+            ~checkpoint:(path, Plans.inject_codec)
+            ~compaction:(Plans.inject_compaction ~keep:2)
+            (Plans.inject_plan ~faults:co_faults ~shards:4 ~seed ())
         in
-        Plans.mega_totals outcome)
+        Plans.inject_totals outcome)
   in
   let time_min f =
     let best = ref infinity and result = ref None in
@@ -356,7 +355,7 @@ let campaign_cost () =
   let t_raw, m_raw = time_min raw in
   let t_engine, m_engine = time_min engine in
   if m_raw <> m_engine then
-    failwith "bench: mega campaign totals differ from the raw streaming fold";
+    failwith "bench: campaign totals differ from the raw streaming fold";
   let raw_ns = t_raw *. 1e9 /. float_of_int co_faults in
   let engine_ns = t_engine *. 1e9 /. float_of_int co_faults in
   {
@@ -367,7 +366,7 @@ let campaign_cost () =
   }
 
 let print_campaign_cost c =
-  Format.printf "@.=== Mega-campaign engine tax (gated <= 25%%) ===@.";
+  Format.printf "@.=== Campaign engine tax (gated <= 25%%) ===@.";
   Format.printf "raw streaming fold:    %10.1f ns/fault@." c.raw_ns_per_fault;
   Format.printf "campaign engine:       %10.1f ns/fault@." c.engine_ns_per_fault;
   Format.printf "overhead:              %10.2f %%  (%d faults, checkpoint + compaction)@."
@@ -572,7 +571,7 @@ let gates sections obs cost alloc =
       op = Ceiling; limit = 2.0; value = obs.machine_pct };
     { gname = "obs_fuzz_overhead"; metric = "disabled obs overhead on fuzz seed (%)";
       op = Ceiling; limit = 2.0; value = obs.fuzz_pct };
-    { gname = "campaign_overhead"; metric = "mega campaign tax over raw engine (%)";
+    { gname = "campaign_overhead"; metric = "campaign tax over raw engine (%)";
       op = Ceiling; limit = 25.0; value = cost.overhead_pct };
     { gname = "registry_indirection";
       metric = "registry-compiled vs asm-roundtrip threaded step (%)";

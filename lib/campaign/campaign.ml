@@ -86,6 +86,8 @@ let run ?(workers = 1) ?(progress = Progress.null) ?checkpoint ?compaction
   if policy.retries < 0 then invalid_arg "Campaign.run: retries < 0";
   (match policy.shard_timeout_s with
   | Some t when t <= 0.0 -> invalid_arg "Campaign.run: shard_timeout_s <= 0"
+  | Some _ when policy.isolation = Domains ->
+    invalid_arg "Campaign.run: shard_timeout_s requires Processes isolation"
   | _ -> ());
   let total = Plan.shard_count plan in
   let manifest, prior, merged_prior, covered =

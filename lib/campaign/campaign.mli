@@ -41,8 +41,9 @@ type policy = {
   isolation : isolation;  (** which executor runs the shards *)
   shard_timeout_s : float option;
       (** wall-clock deadline per shard attempt, enforced by SIGKILL —
-          only meaningful under [Processes] (the in-process executor
-          relies on [shard_fuel], which is deterministic). *)
+          [Processes] only: {!run} rejects it under [Domains], whose
+          in-process executor relies on [shard_fuel], which is
+          deterministic. *)
 }
 
 val default_policy : policy
@@ -112,7 +113,9 @@ val run :
     deterministic backoff, and after [retries] failed retries the shard
     is quarantined: recorded in the manifest, reported in [quarantined],
     its [results] entry [None]. Every other shard still runs, is
-    checkpointed and is bit-identical to an untroubled run.
+    checkpointed and is bit-identical to an untroubled run. Raises
+    [Invalid_argument] if [workers < 1], [retries < 0], or
+    [shard_timeout_s] is non-positive or set under [Domains] isolation.
 
     [progress] receives structured events; it is synchronized
     automatically when [workers > 1]. *)

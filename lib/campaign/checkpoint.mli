@@ -18,7 +18,7 @@
 
     {2 Hierarchical compaction}
 
-    A 10^5+-shard mega-campaign would otherwise accumulate 10^5+ shard
+    A 10^5+-shard campaign would otherwise accumulate 10^5+ shard
     lines, making every resume O(shards-so-far) in parse time and disk.
     With a {!compaction} policy, once more than [keep] uncompacted shard
     lines exist the manifest is rewritten — atomically, via a temp file

@@ -411,9 +411,37 @@ let run_fault cfg ~campaign_seed index =
 (* ------------------------------------------------------------------ *)
 (* Mergeable campaign statistics                                       *)
 
-type cell = { detected : int; benign : int; silent : int; latency_sum : int }
+(* Constant-size sufficient statistics: per scheme and per (site,
+   scheme), four counters plus a log2 histogram of detection latencies,
+   and a reproducer list truncated to the [repro_cap] smallest
+   (fault, scheme) keys.  Memory stays O(sites x schemes) however many
+   faults a campaign runs.  [merge] is associative AND commutative:
 
-let cell_zero = { detected = 0; benign = 0; silent = 0; latency_sum = 0 }
+   - counters and histograms add pointwise;
+   - "keep the K smallest" commutes with union: the K smallest of a
+     union are the K smallest of the per-part K smallest, in any
+     grouping or order.
+
+   Commutativity matters beyond worker-order independence: a campaign
+   resumed from a compacted checkpoint folds the merged blob before the
+   per-shard remainder, so fold order differs between an interrupted
+   and an uninterrupted run.  With both laws the totals are still
+   bit-identical — the N-worker == 1-worker == resumed contract. *)
+
+let hist_buckets = 32
+let repro_cap = 32
+
+type cell = {
+  detected : int;
+  benign : int;
+  silent : int;
+  latency_sum : int;
+  latency_hist : int array;  (* log2 buckets; treated as immutable *)
+}
+
+let cell_zero =
+  { detected = 0; benign = 0; silent = 0; latency_sum = 0;
+    latency_hist = Array.make hist_buckets 0 }
 
 let cell_add a b =
   {
@@ -421,7 +449,37 @@ let cell_add a b =
     benign = a.benign + b.benign;
     silent = a.silent + b.silent;
     latency_sum = a.latency_sum + b.latency_sum;
+    latency_hist =
+      Array.init hist_buckets (fun i -> a.latency_hist.(i) + b.latency_hist.(i));
   }
+
+(* Bucket 0 holds latencies 0 and 1; bucket b >= 1 holds (2^(b-1), 2^b],
+   saturating at the last bucket. *)
+let bucket latency =
+  if latency <= 1 then 0
+  else begin
+    (* smallest b with 2^b >= latency, i.e. ceil(log2 latency) *)
+    let b = ref 0 and v = ref (latency - 1) in
+    while !v > 0 && !b < hist_buckets - 1 do
+      incr b;
+      v := !v lsr 1
+    done;
+    !b
+  end
+
+(* Bucket bounds for {!Pacstack_util.Stats.weighted_percentile}: the
+   histogram's tail quantiles without retaining a single sample. *)
+let hist_bounds =
+  lazy
+    (Array.init (hist_buckets + 1) (fun i ->
+         if i = 0 then 0.0 else Float.of_int (1 lsl (i - 1))))
+
+let latency_percentile cell p =
+  if cell.detected = 0 then None
+  else
+    Some
+      (Pacstack_util.Stats.weighted_percentile ~bounds:(Lazy.force hist_bounds)
+         ~counts:cell.latency_hist p)
 
 type reproducer = { fault : int; scheme : string; site : string }
 
@@ -430,7 +488,7 @@ type stats = {
   cells : (string * cell) list;  (** per scheme name, canonical order *)
   site_cells : ((string * string) * cell) list;
       (** per (site, scheme), site-major in Fault.all_sites order *)
-  silents : reproducer list;  (** sorted by (fault, scheme) *)
+  silents : reproducer list;  (** <= repro_cap smallest (fault, scheme), sorted *)
 }
 
 let empty = { faults = 0; cells = []; site_cells = []; silents = [] }
@@ -450,76 +508,78 @@ let site_rank =
   let names = List.map Fault.site_to_string (Array.to_list Fault.all_sites) in
   fun n -> rank_of names n
 
-let sort_cells cells =
-  List.stable_sort
-    (fun (a, _) (b, _) -> compare (scheme_rank a, a) (scheme_rank b, b))
-    cells
+let compare_schemes a b = compare (scheme_rank a, a) (scheme_rank b, b)
 
-let sort_site_cells cells =
-  List.stable_sort
-    (fun ((sa, na), _) ((sb, nb), _) ->
-      compare (site_rank sa, sa, scheme_rank na, na) (site_rank sb, sb, scheme_rank nb, nb))
-    cells
+let compare_sites (sa, na) (sb, nb) =
+  compare (site_rank sa, sa, scheme_rank na, na) (site_rank sb, sb, scheme_rank nb, nb)
 
-let sort_silents silents =
+let truncate_silents silents =
   List.stable_sort (fun a b -> compare (a.fault, a.scheme) (b.fault, b.scheme)) silents
+  |> List.filteri (fun i _ -> i < repro_cap)
 
-let bump_cell cells name f =
-  let found = List.mem_assoc name cells in
-  let cells =
-    if found then List.map (fun (n, c) -> if String.equal n name then (n, f c) else (n, c)) cells
-    else cells @ [ (name, f cell_zero) ]
-  in
-  sort_cells cells
+(* Not a stored field: deriving it keeps [merge] a plain pointwise
+   operation with no cross-field invariant to maintain. *)
+let repro_dropped s =
+  List.fold_left (fun n (_, c) -> n + c.silent) 0 s.cells - List.length s.silents
 
-let bump_site_cell cells key f =
-  let found = List.mem_assoc key cells in
-  let cells =
-    if found then List.map (fun (k, c) -> if k = key then (k, f c) else (k, c)) cells
-    else cells @ [ (key, f cell_zero) ]
-  in
-  sort_site_cells cells
+(* Pointwise sum of two cell lists, each sorted by [cmp] with distinct
+   keys: a merge of sorted lists, so the result is sorted too. *)
+let rec add_cells cmp a b =
+  match (a, b) with
+  | [], l | l, [] -> l
+  | (ka, ca) :: ra, (kb, cb) :: rb ->
+    let c = cmp ka kb in
+    if c = 0 then (ka, cell_add ca cb) :: add_cells cmp ra rb
+    else if c < 0 then (ka, ca) :: add_cells cmp ra b
+    else (kb, cb) :: add_cells cmp a rb
 
 let add_result stats (r : result) =
   let name = Scheme.to_string r.scheme in
   let site = Fault.site_to_string r.spec.Fault.site in
-  let bump c =
+  let one =
     match r.classification with
     | Detected { latency; _ } ->
-      { c with detected = c.detected + 1; latency_sum = c.latency_sum + latency }
-    | Benign -> { c with benign = c.benign + 1 }
-    | Silent -> { c with silent = c.silent + 1 }
+      let h = Array.make hist_buckets 0 in
+      h.(bucket latency) <- 1;
+      { cell_zero with detected = 1; latency_sum = latency; latency_hist = h }
+    | Benign -> { cell_zero with benign = 1 }
+    | Silent -> { cell_zero with silent = 1 }
   in
-  let cells = bump_cell stats.cells name bump in
-  let site_cells = bump_site_cell stats.site_cells (site, name) bump in
   let silents =
     match r.classification with
     | Silent ->
-      sort_silents ({ fault = r.spec.Fault.index; scheme = name; site } :: stats.silents)
+      truncate_silents ({ fault = r.spec.Fault.index; scheme = name; site } :: stats.silents)
     | Detected _ | Benign -> stats.silents
   in
-  { stats with cells; site_cells; silents }
+  {
+    stats with
+    cells = add_cells compare_schemes stats.cells [ (name, one) ];
+    site_cells = add_cells compare_sites stats.site_cells [ ((site, name), one) ];
+    silents;
+  }
 
 let merge a b =
-  let cells =
-    List.fold_left (fun acc (n, c) -> bump_cell acc n (fun cur -> cell_add cur c)) a.cells b.cells
-  in
-  let site_cells =
-    List.fold_left
-      (fun acc (k, c) -> bump_site_cell acc k (fun cur -> cell_add cur c))
-      a.site_cells b.site_cells
-  in
   {
     faults = a.faults + b.faults;
-    cells;
-    site_cells;
-    silents = sort_silents (a.silents @ b.silents);
+    cells = add_cells compare_schemes a.cells b.cells;
+    site_cells = add_cells compare_sites a.site_cells b.site_cells;
+    silents = truncate_silents (a.silents @ b.silents);
   }
 
 let run_range cfg ~campaign_seed ~first ~count =
+  if Obs.enabled () then
+    Obs.Metrics.register_histogram "inject.detect_latency" ~lo:0. ~hi:4096. ~buckets:20;
   let stats = ref empty in
   for i = first to first + count - 1 do
     let results = run_fault cfg ~campaign_seed i in
+    if Obs.enabled () then
+      List.iter
+        (fun r ->
+          match r.classification with
+          | Detected { latency; _ } ->
+            Obs.Metrics.observe "inject.detect_latency" (float_of_int latency)
+          | Benign | Silent -> ())
+        results;
     stats :=
       List.fold_left add_result { !stats with faults = !stats.faults + 1 } results
   done;
@@ -536,87 +596,95 @@ let reproducer_to_json r =
       ("site", Json.String r.site);
     ]
 
+let cell_fields c =
+  [
+    ("detected", Json.Int c.detected);
+    ("benign", Json.Int c.benign);
+    ("silent", Json.Int c.silent);
+    ("latency_sum", Json.Int c.latency_sum);
+    ("latency_hist", Json.List (Array.to_list (Array.map (fun n -> Json.Int n) c.latency_hist)));
+  ]
+
 let stats_to_json s =
   Json.Obj
     [
       ("faults", Json.Int s.faults);
       ( "cells",
         Json.List
-          (List.map
-             (fun (n, c) ->
-               Json.Obj
-                 [
-                   ("scheme", Json.String n);
-                   ("detected", Json.Int c.detected);
-                   ("benign", Json.Int c.benign);
-                   ("silent", Json.Int c.silent);
-                   ("latency_sum", Json.Int c.latency_sum);
-                 ])
-             s.cells) );
+          (List.map (fun (n, c) -> Json.Obj (("scheme", Json.String n) :: cell_fields c)) s.cells)
+      );
       ( "site_cells",
         Json.List
           (List.map
              (fun ((site, n), c) ->
-               Json.Obj
-                 [
-                   ("site", Json.String site);
-                   ("scheme", Json.String n);
-                   ("detected", Json.Int c.detected);
-                   ("benign", Json.Int c.benign);
-                   ("silent", Json.Int c.silent);
-                   ("latency_sum", Json.Int c.latency_sum);
-                 ])
+               Json.Obj (("site", Json.String site) :: ("scheme", Json.String n) :: cell_fields c))
              s.site_cells) );
       ("silents", Json.List (List.map reproducer_to_json s.silents));
     ]
 
+(* Checkpoint lines are read back from disk, so the decoder rejects
+   anything [add_result]/[merge] could never have produced: a histogram
+   of the wrong length or whose mass is not the detection count, a
+   repeated cell key (which [add_cells] relies on never seeing), or more
+   than [repro_cap] reproducers.  A rejected line recomputes its shard. *)
 let stats_of_json j =
   let ( let* ) = Option.bind in
   let int k o = Option.bind (Json.member k o) Json.to_int in
   let str k o = Option.bind (Json.member k o) Json.to_str in
+  let all f l =
+    List.fold_left
+      (fun acc x ->
+        let* acc = acc in
+        let* v = f x in
+        Some (v :: acc))
+      (Some []) l
+    |> Option.map List.rev
+  in
+  let cell o =
+    let* detected = int "detected" o in
+    let* benign = int "benign" o in
+    let* silent = int "silent" o in
+    let* latency_sum = int "latency_sum" o in
+    let* hist = Option.bind (Json.member "latency_hist" o) Json.to_list in
+    let* hist = all Json.to_int hist in
+    if List.length hist <> hist_buckets || List.fold_left ( + ) 0 hist <> detected then None
+    else Some { detected; benign; silent; latency_sum; latency_hist = Array.of_list hist }
+  in
   let* faults = int "faults" j in
   let* cells = Option.bind (Json.member "cells" j) Json.to_list in
   let* cells =
-    List.fold_left
-      (fun acc o ->
-        let* acc = acc in
+    all
+      (fun o ->
         let* n = str "scheme" o in
-        let* detected = int "detected" o in
-        let* benign = int "benign" o in
-        let* silent = int "silent" o in
-        let* latency_sum = int "latency_sum" o in
-        Some (acc @ [ (n, { detected; benign; silent; latency_sum }) ]))
-      (Some []) cells
+        let* c = cell o in
+        Some (n, c))
+      cells
   in
   let* site_cells = Option.bind (Json.member "site_cells" j) Json.to_list in
   let* site_cells =
-    List.fold_left
-      (fun acc o ->
-        let* acc = acc in
+    all
+      (fun o ->
         let* site = str "site" o in
         let* n = str "scheme" o in
-        let* detected = int "detected" o in
-        let* benign = int "benign" o in
-        let* silent = int "silent" o in
-        let* latency_sum = int "latency_sum" o in
-        Some (acc @ [ ((site, n), { detected; benign; silent; latency_sum }) ]))
-      (Some []) site_cells
+        let* c = cell o in
+        Some ((site, n), c))
+      site_cells
   in
   let* silents = Option.bind (Json.member "silents" j) Json.to_list in
   let* silents =
-    List.fold_left
-      (fun acc o ->
-        let* acc = acc in
+    all
+      (fun o ->
         let* fault = int "fault" o in
         let* scheme = str "scheme" o in
         let* site = str "site" o in
-        Some (acc @ [ { fault; scheme; site } ]))
-      (Some []) silents
+        Some { fault; scheme; site })
+      silents
   in
-  Some
-    {
-      faults;
-      cells = sort_cells cells;
-      site_cells = sort_site_cells site_cells;
-      silents = sort_silents silents;
-    }
+  let sorted_unique cmp l =
+    let sorted = List.sort_uniq (fun (a, _) (b, _) -> cmp a b) l in
+    if List.length sorted = List.length l then Some sorted else None
+  in
+  let* cells = sorted_unique compare_schemes cells in
+  let* site_cells = sorted_unique compare_sites site_cells in
+  if List.length silents > repro_cap then None
+  else Some { faults; cells; site_cells; silents = truncate_silents silents }

@@ -84,7 +84,7 @@ let omega x =
   let b0 = x land 1 and b1 = (x lsr 1) land 1 in
   ((b0 lxor b1) lsl 3) lor (x lsr 1)
 
-let omega_inv x =
+let inv_omega x =
   let b3 = (x lsr 3) land 1 and b0 = x land 1 in
   (((x land 7) lsl 1) lor (b3 lxor b0)) land 0xf
 
@@ -95,7 +95,7 @@ let apply_lfsr f w =
   List.fold_left (fun acc i -> Word64.set_nibble acc i (f (Word64.nibble acc i))) w lfsr_cells
 
 let tweak_forward_ref t = apply_lfsr omega (permute_cells h_perm t)
-let tweak_backward_ref t = permute_cells h_inv_perm (apply_lfsr omega_inv t)
+let tweak_backward_ref t = permute_cells h_inv_perm (apply_lfsr inv_omega t)
 
 (* One forward round: add tweakey, then (unless short) shuffle and mix,
    then substitute. The backward round is the exact inverse. *)

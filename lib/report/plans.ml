@@ -6,7 +6,6 @@ module Speclike = Pacstack_workloads.Speclike
 module Server = Pacstack_workloads.Server
 module Bruteforce = Pacstack_attacker.Bruteforce
 module Inject_engine = Pacstack_inject.Engine
-module Mega = Pacstack_inject.Mega
 module Stats = Pacstack_util.Stats
 module Campaign = Pacstack_campaign.Campaign
 module Plan = Pacstack_campaign.Plan
@@ -267,7 +266,7 @@ let fuzz_stats_json (s : Fuzz_driver.stats) =
 
 (* --- fault injection ------------------------------------------------------ *)
 
-let inject_plan ?schemes ?(pac_bits = 4) ?tamper ?(faults = 120) ?(shards = 8) ~seed () =
+let inject_plan ?schemes ?(pac_bits = 4) ?tamper ?(faults = 120) ?shards ~seed () =
   let cfg =
     {
       Inject_engine.default_config with
@@ -276,6 +275,10 @@ let inject_plan ?schemes ?(pac_bits = 4) ?tamper ?(faults = 120) ?(shards = 8) ~
       tamper;
     }
   in
+  (* small campaigns get 8 shards to spread over workers; at scale,
+     ~512 faults per shard keeps per-shard checkpoint and merge work a
+     small share of the run *)
+  let shards = Option.value shards ~default:(max (min faults 8) ((faults + 511) / 512)) in
   let shards = max 1 (min shards faults) in
   let parts = Plan.split_trials ~trials:faults ~shards in
   let ranges =
@@ -297,13 +300,16 @@ let inject_plan ?schemes ?(pac_bits = 4) ?tamper ?(faults = 120) ?(shards = 8) ~
 let inject_codec =
   { Checkpoint.encode = Inject_engine.stats_to_json; decode = Inject_engine.stats_of_json }
 
+let inject_compaction ~keep = { Checkpoint.merge = Inject_engine.merge; keep }
+
 let inject_totals outcome =
   Campaign.fold outcome ~init:Inject_engine.empty ~f:Inject_engine.merge
 
 let inject_stats_json (s : Inject_engine.stats) =
-  match Inject_engine.stats_to_json s with
+  (match Inject_engine.stats_to_json s with
   | Json.Obj fields -> fields
-  | other -> [ ("stats", other) ]
+  | other -> [ ("stats", other) ])
+  @ [ ("repro_dropped", Json.Int (Inject_engine.repro_dropped s)) ]
 
 (* Every reported rate carries a Wilson 95% interval: at rare-event
    scales the point estimate alone (often exactly 0) says nothing about
@@ -312,10 +318,11 @@ let wilson_ci ~successes ~trials =
   if trials = 0 then (0.0, 1.0) else Stats.wilson ~successes ~trials
 
 (* The detection-rate table: per scheme, how the campaign's faults
-   classified and how long detected corruption lived. *)
+   classified and how long detected corruption lived.  Rates print in
+   %e so they stay readable at rare-event scale. *)
 let pp_inject_table fmt (s : Inject_engine.stats) =
-  Format.fprintf fmt "%-24s %9s %9s %9s %13s %23s %13s@." "scheme" "detected" "benign"
-    "silent" "silent-rate" "wilson-95%" "mean-latency";
+  Format.fprintf fmt "%-24s %9s %9s %9s %11s %23s %13s %12s@." "scheme" "detected" "benign"
+    "silent" "silent-rate" "wilson-95%" "mean-latency" "p95-latency";
   List.iter
     (fun (name, (c : Inject_engine.cell)) ->
       let total = c.Inject_engine.detected + c.Inject_engine.benign + c.Inject_engine.silent in
@@ -329,10 +336,15 @@ let pp_inject_table fmt (s : Inject_engine.stats) =
           Printf.sprintf "%.1f"
             (float_of_int c.Inject_engine.latency_sum /. float_of_int c.Inject_engine.detected)
       in
-      Format.fprintf fmt "%-24s %9d %9d %9d %13.3f %23s %13s@." name c.Inject_engine.detected
-        c.Inject_engine.benign c.Inject_engine.silent rate
-        (Printf.sprintf "[%.4f, %.4f]" lo hi)
-        latency)
+      let p95 =
+        match Inject_engine.latency_percentile c 95.0 with
+        | None -> "-"
+        | Some v -> Printf.sprintf "%.0f" v
+      in
+      Format.fprintf fmt "%-24s %9d %9d %9d %11.3e %23s %13s %12s@." name
+        c.Inject_engine.detected c.Inject_engine.benign c.Inject_engine.silent rate
+        (Printf.sprintf "[%.3e, %.3e]" lo hi)
+        latency p95)
     s.Inject_engine.cells
 
 (* The long-format detection-rate table: every (injection site, scheme)
@@ -355,91 +367,6 @@ let pp_inject_site_table fmt (s : Inject_engine.stats) =
         c.Inject_engine.detected c.Inject_engine.benign c.Inject_engine.silent rate
         (Printf.sprintf "[%.4f, %.4f]" lo hi))
     s.Inject_engine.site_cells
-
-(* --- mega campaigns: streaming sufficient statistics ---------------------- *)
-
-let mega_plan ?schemes ?(pac_bits = 4) ?tamper ?(faults = 120) ?(shard_faults = 512)
-    ~seed () =
-  if faults < 1 then invalid_arg "Plans.mega_plan: faults < 1";
-  if shard_faults < 1 then invalid_arg "Plans.mega_plan: shard_faults < 1";
-  let cfg =
-    {
-      Inject_engine.default_config with
-      pac_bits;
-      schemes = Option.value schemes ~default:Inject_engine.default_config.schemes;
-      tamper;
-    }
-  in
-  let shards = (faults + shard_faults - 1) / shard_faults in
-  let ranges =
-    Array.init shards (fun i ->
-        let lo = i * shard_faults in
-        (lo, min faults (lo + shard_faults)))
-  in
-  Plan.make ~name:"inject-mega" ~seed
-    ~shards:
-      (Array.map (fun (lo, hi) -> (Printf.sprintf "faults[%d,%d)" lo hi, hi - lo)) ranges)
-    ~run:(fun shard _rng ->
-      let lo, hi = ranges.(shard.Shard.index) in
-      Mega.run_range cfg ~campaign_seed:seed ~first:lo ~count:(hi - lo))
-
-let mega_codec = { Checkpoint.encode = Mega.to_json; decode = Mega.of_json }
-let mega_compaction ~keep = { Checkpoint.merge = Mega.merge; keep }
-let mega_totals outcome = Campaign.fold outcome ~init:Mega.empty ~f:Mega.merge
-
-let mega_stats_json (t : Mega.t) =
-  let rates =
-    List.map
-      (fun (name, (c : Mega.cell)) ->
-        let total = c.Mega.detected + c.Mega.benign + c.Mega.silent in
-        let lo, hi = wilson_ci ~successes:c.Mega.silent ~trials:total in
-        Json.Obj
-          [
-            ("scheme", Json.String name);
-            ("trials", Json.Int total);
-            ( "silent_rate",
-              Json.Float
-                (if total = 0 then 0.0
-                 else float_of_int c.Mega.silent /. float_of_int total) );
-            ("wilson_lo", Json.Float lo);
-            ("wilson_hi", Json.Float hi);
-          ])
-      t.Mega.cells
-  in
-  (match Mega.to_json t with
-  | Json.Obj fields -> fields
-  | other -> [ ("stats", other) ])
-  @ [
-      ("silent_rates", Json.List rates);
-      ("repro_dropped", Json.Int (Mega.repro_dropped t));
-    ]
-
-let pp_mega_table fmt (t : Mega.t) =
-  Format.fprintf fmt "%-24s %10s %10s %8s %11s %25s %12s@." "scheme" "detected" "benign"
-    "silent" "silent-rate" "wilson-95%" "p95-latency";
-  List.iter
-    (fun (name, (c : Mega.cell)) ->
-      let total = c.Mega.detected + c.Mega.benign + c.Mega.silent in
-      let rate =
-        if total = 0 then 0.0 else float_of_int c.Mega.silent /. float_of_int total
-      in
-      let lo, hi = wilson_ci ~successes:c.Mega.silent ~trials:total in
-      let p95 =
-        match Mega.latency_percentile c 95.0 with
-        | None -> "-"
-        | Some v -> Printf.sprintf "%.0f" v
-      in
-      Format.fprintf fmt "%-24s %10d %10d %8d %11.3e %25s %12s@." name c.Mega.detected
-        c.Mega.benign c.Mega.silent rate
-        (Printf.sprintf "[%.3e, %.3e]" lo hi)
-        p95)
-    t.Mega.cells;
-  let dropped = Mega.repro_dropped t in
-  if dropped > 0 then
-    Format.fprintf fmt "(%d silent reproducer%s beyond the %d-entry cap not retained)@."
-      dropped
-      (if dropped = 1 then "" else "s")
-      Mega.repro_cap
 
 let quarantine_json (outcome : _ Campaign.outcome) =
   ( "quarantined",

@@ -103,7 +103,7 @@ let weighted_percentile ~bounds ~counts p =
   go 0 0.0
 
 (* Wilson score interval. Unlike the naive Wald interval this stays
-   honest for the rare-event rates the mega-campaigns measure: at
+   honest for the rare-event rates large inject campaigns measure: at
    k = 0 of n the lower bound is exactly 0 but the upper bound shrinks
    like z^2/(n+z^2) instead of collapsing to a zero-width interval. *)
 let wilson ~successes ~trials =

@@ -31,9 +31,9 @@ val weighted_percentile : bounds:float array -> counts:int array -> float -> flo
     [counts] and must be strictly increasing. Linear interpolation inside
     the bucket containing the rank, so the answer is within one bucket
     width of {!percentile} on the raw samples. This is the
-    sufficient-statistics path: {!Pacstack_inject.Mega} folds millions of
-    detection latencies into constant-size log2 bucket counts and still
-    reports their p95. Raises [Invalid_argument] on an empty histogram, malformed
+    sufficient-statistics path: {!Pacstack_inject.Engine.stats} folds
+    millions of detection latencies into constant-size log2 bucket counts
+    and still reports their p95. Raises [Invalid_argument] on an empty histogram, malformed
     bounds or an out-of-range [p]. *)
 
 val wilson : successes:int -> trials:int -> float * float

@@ -17,6 +17,7 @@ module Fault = Pacstack_inject.Fault
 module Victim = Pacstack_inject.Victim
 module Engine = Pacstack_inject.Engine
 module Campaign = Pacstack_campaign.Campaign
+module Json = Pacstack_campaign.Json
 module Plans = Pacstack_report.Plans
 
 let temp_manifest () = Filename.temp_file "pacstack_inject" ".ck"
@@ -251,18 +252,28 @@ let test_campaign_resume_identical () =
 (* A planted always-silent fault (the test-only tamper hook corrupts
    observable output without touching any control word) must surface as
    silent corruption under every scheme — this is what the CLI gate and
-   the CI campaign would catch with exit 1. *)
+   the CI campaign would catch with exit 1.  Past [repro_cap] silent
+   faults the reproducers stop growing and the rest are counted. *)
 let test_planted_tamper_is_caught () =
   let tamper m = Machine.push_output m 999L in
-  let faults = 4 in
-  let outcome =
-    Campaign.run ~workers:1
-      (Plans.inject_plan ~schemes:[ Scheme.pacstack ] ~tamper ~faults ~shards:2 ~seed:5L ())
+  let run faults =
+    Plans.inject_totals
+      (Campaign.run ~workers:1
+         (Plans.inject_plan ~schemes:[ Scheme.pacstack ] ~tamper ~faults ~shards:2 ~seed:5L ()))
   in
-  let totals = Plans.inject_totals outcome in
-  let cell = List.assoc (Scheme.to_string Scheme.pacstack) totals.Engine.cells in
-  Alcotest.(check int) "every planted fault is silent" faults cell.Engine.silent;
-  Alcotest.(check int) "gate finds reproducers" faults (List.length totals.Engine.silents)
+  let silent (totals : Engine.stats) =
+    (List.assoc (Scheme.to_string Scheme.pacstack) totals.Engine.cells).Engine.silent
+  in
+  let few = run 4 in
+  Alcotest.(check int) "every planted fault is silent" 4 (silent few);
+  Alcotest.(check int) "gate finds reproducers" 4 (List.length few.Engine.silents);
+  let faults = 2 * Engine.repro_cap in
+  let many = run faults in
+  Alcotest.(check int) "every planted fault is silent past the cap" faults (silent many);
+  Alcotest.(check int) "repro_cap reproducers kept" Engine.repro_cap
+    (List.length many.Engine.silents);
+  Alcotest.(check int) "the rest counted as dropped" Engine.repro_cap
+    (Engine.repro_dropped many)
 
 (* Regression (satellite fix): Signal_frame / Reload_window leaking into
    the generic injector used to die on [assert false] — an anonymous
@@ -302,62 +313,14 @@ let test_stats_merge_order_independent () =
   let swapped = Engine.merge (Engine.merge c b) a in
   Alcotest.(check bool) "associative" true (stats_equal left right);
   Alcotest.(check bool) "commutative" true (stats_equal left swapped);
-  Alcotest.(check int) "all faults counted" 9 left.Engine.faults
-
-(* --- mega sufficient statistics ------------------------------------------- *)
-
-module Mega = Pacstack_inject.Mega
-
-(* The streaming summary must agree with the O(events) Engine.stats it
-   replaces: same counters per scheme over the same fault range. *)
-let test_mega_agrees_with_engine_stats () =
-  let cfg = Engine.default_config in
-  let full = Engine.run_range cfg ~campaign_seed:7L ~first:0 ~count:12 in
-  let mega = Mega.run_range cfg ~campaign_seed:7L ~first:0 ~count:12 in
-  Alcotest.(check int) "fault counts agree" full.Engine.faults mega.Mega.faults;
-  List.iter
-    (fun (name, (c : Engine.cell)) ->
-      match List.assoc_opt name mega.Mega.cells with
-      | None -> Alcotest.failf "scheme %s missing from mega cells" name
-      | Some (m : Mega.cell) ->
-        Alcotest.(check int) (name ^ " detected") c.Engine.detected m.Mega.detected;
-        Alcotest.(check int) (name ^ " benign") c.Engine.benign m.Mega.benign;
-        Alcotest.(check int) (name ^ " silent") c.Engine.silent m.Mega.silent;
-        Alcotest.(check int) (name ^ " histogram mass = detections") m.Mega.detected
-          (Array.fold_left ( + ) 0 m.Mega.latency_hist))
-    full.Engine.cells;
-  Alcotest.(check bool) "reproducers are a prefix of the full silent list" true
-    (List.for_all
-       (fun (r : Engine.reproducer) ->
-         List.exists (fun (s : Engine.reproducer) -> s = r) full.Engine.silents)
-       mega.Mega.repro)
-
-let test_mega_merge_order_independent () =
-  let cfg = Engine.default_config in
-  let a = Mega.run_range cfg ~campaign_seed:7L ~first:0 ~count:4 in
-  let b = Mega.run_range cfg ~campaign_seed:7L ~first:4 ~count:4 in
-  let c = Mega.run_range cfg ~campaign_seed:7L ~first:8 ~count:4 in
-  let left = Mega.merge (Mega.merge a b) c in
-  let right = Mega.merge a (Mega.merge b c) in
-  let swapped = Mega.merge c (Mega.merge b a) in
-  Alcotest.(check bool) "associative" true (left = right);
-  Alcotest.(check bool) "commutative" true (left = swapped);
-  Alcotest.(check int) "all faults counted" 12 left.Mega.faults;
-  (* and the merged summary equals the single-range fold *)
-  let whole = Mega.run_range cfg ~campaign_seed:7L ~first:0 ~count:12 in
-  Alcotest.(check bool) "grouping-free" true (left = whole)
-
-let test_mega_json_roundtrip () =
-  let mega = Mega.run_range Engine.default_config ~campaign_seed:7L ~first:0 ~count:8 in
-  match Mega.of_json (Mega.to_json mega) with
-  | None -> Alcotest.fail "mega summary did not parse back"
-  | Some parsed -> Alcotest.(check bool) "roundtrip" true (mega = parsed)
+  Alcotest.(check int) "all faults counted" 9 left.Engine.faults;
+  let whole = Engine.run_range cfg ~campaign_seed:7L ~first:0 ~count:9 in
+  Alcotest.(check bool) "merged = single-range fold" true (stats_equal left whole)
 
 (* The retention cap: reproducers stay bounded at repro_cap however many
    silent events accumulate, the kept set is the smallest (fault, scheme)
    keys, and the drop count is derivable. *)
-let test_mega_reproducer_cap () =
-  let mk fault = { Engine.fault; scheme = "s"; site = "return-slot" } in
+let test_reproducer_cap () =
   let silent_result fault =
     { Engine.spec = Fault.derive ~campaign_seed:1L fault;
       scheme = Scheme.unprotected;
@@ -365,34 +328,100 @@ let test_mega_reproducer_cap () =
   in
   let t =
     List.fold_left
-      (fun t i -> Mega.add_result t (silent_result i))
-      Mega.empty
-      (List.init (2 * Mega.repro_cap) (fun i -> i))
+      (fun t i -> Engine.add_result t (silent_result i))
+      Engine.empty
+      (List.init (2 * Engine.repro_cap) (fun i -> (2 * Engine.repro_cap) - 1 - i))
   in
-  Alcotest.(check int) "capped" Mega.repro_cap (List.length t.Mega.repro);
-  Alcotest.(check int) "dropped = silent - kept" Mega.repro_cap (Mega.repro_dropped t);
+  Alcotest.(check int) "capped" Engine.repro_cap (List.length t.Engine.silents);
+  Alcotest.(check int) "dropped = silent - kept" Engine.repro_cap (Engine.repro_dropped t);
   List.iteri
     (fun i (r : Engine.reproducer) ->
       Alcotest.(check int) "smallest keys kept, sorted" i r.Engine.fault)
-    t.Mega.repro;
-  ignore (mk 0)
+    t.Engine.silents
 
-let test_mega_latency_histogram () =
-  Alcotest.(check int) "latency 0" 0 (Mega.bucket 0);
-  Alcotest.(check int) "latency 1" 0 (Mega.bucket 1);
-  Alcotest.(check int) "latency 2" 1 (Mega.bucket 2);
-  Alcotest.(check int) "latency 3" 2 (Mega.bucket 3);
-  Alcotest.(check int) "latency 4" 2 (Mega.bucket 4);
-  Alcotest.(check int) "latency 5" 3 (Mega.bucket 5);
-  Alcotest.(check int) "max_int saturates" (Mega.hist_buckets - 1) (Mega.bucket max_int);
-  (* percentile: None without detections, within one bucket otherwise *)
-  let mega = Mega.run_range Engine.default_config ~campaign_seed:7L ~first:0 ~count:8 in
+let test_latency_histogram () =
+  Alcotest.(check int) "latency 0" 0 (Engine.bucket 0);
+  Alcotest.(check int) "latency 1" 0 (Engine.bucket 1);
+  Alcotest.(check int) "latency 2" 1 (Engine.bucket 2);
+  Alcotest.(check int) "latency 3" 2 (Engine.bucket 3);
+  Alcotest.(check int) "latency 4" 2 (Engine.bucket 4);
+  Alcotest.(check int) "latency 5" 3 (Engine.bucket 5);
+  Alcotest.(check int) "max_int saturates" (Engine.hist_buckets - 1) (Engine.bucket max_int);
+  (* histogram mass = detections; percentile None without detections,
+     finite otherwise *)
+  let stats = Engine.run_range Engine.default_config ~campaign_seed:7L ~first:0 ~count:8 in
   List.iter
-    (fun ((_ : string), (c : Mega.cell)) ->
-      match Mega.latency_percentile c 95.0 with
-      | None -> Alcotest.(check int) "None only without detections" 0 c.Mega.detected
+    (fun (c : Engine.cell) ->
+      Alcotest.(check int) "histogram mass = detections" c.Engine.detected
+        (Array.fold_left ( + ) 0 c.Engine.latency_hist);
+      match Engine.latency_percentile c 95.0 with
+      | None -> Alcotest.(check int) "None only without detections" 0 c.Engine.detected
       | Some p -> Alcotest.(check bool) "p95 positive and finite" true (p >= 0. && Float.is_finite p))
-    mega.Mega.cells
+    (List.map snd stats.Engine.cells @ List.map snd stats.Engine.site_cells)
+
+(* Checkpoint lines are read back from disk: a hand-edited shard line
+   holding statistics no campaign can produce is rejected on resume, and
+   its shard is recomputed, so the totals still match a clean run. *)
+let test_checkpoint_rejects_impossible_stats () =
+  let plan () =
+    Plans.inject_plan ~schemes:[ Scheme.pacstack; Scheme.unprotected ] ~faults:4 ~shards:2
+      ~seed:5L ()
+  in
+  let reference = Plans.inject_totals (Campaign.run ~workers:1 (plan ())) in
+  let get k j = Option.get (Json.member k j) in
+  let set k v = function
+    | Json.Obj fields -> Json.Obj (List.map (fun (k', x) -> (k', if k' = k then v else x)) fields)
+    | j -> j
+  in
+  let edit_first_hist f result =
+    match get "cells" result with
+    | Json.List (c :: rest) ->
+      let hist = Option.get (Json.to_list (get "latency_hist" c)) in
+      set "cells" (Json.List (set "latency_hist" (Json.List (f hist)) c :: rest)) result
+    | _ -> Alcotest.fail "shard result has no cells"
+  in
+  let cases =
+    [
+      ("histogram too short", edit_first_hist List.tl);
+      ( "histogram mass is not detected",
+        edit_first_hist (function Json.Int n :: rest -> Json.Int (n + 1) :: rest | h -> h) );
+      ( "repeated scheme cell",
+        fun result ->
+          match get "cells" result with
+          | Json.List (c :: rest) -> set "cells" (Json.List (c :: c :: rest)) result
+          | _ -> Alcotest.fail "shard result has no cells" );
+      ( "more than repro_cap reproducers",
+        set "silents"
+          (Json.List
+             (List.init (Engine.repro_cap + 1) (fun fault ->
+                  Engine.reproducer_to_json { Engine.fault; scheme = "pacstack"; site = "ret-slot" })))
+      );
+    ]
+  in
+  List.iter
+    (fun (label, edit) ->
+      let path = temp_manifest () in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          ignore (Campaign.run ~workers:1 ~checkpoint:(path, Plans.inject_codec) (plan ()));
+          let lines = In_channel.with_open_text path In_channel.input_lines in
+          let edited =
+            List.map
+              (fun line ->
+                match Json.parse line with
+                | Ok j when Json.member "shard" j = Some (Json.Int 0) ->
+                  Json.to_string (set "result" (edit (get "result" j)) j)
+                | _ -> line)
+              lines
+          in
+          Out_channel.with_open_text path (fun oc ->
+              List.iter (fun l -> Out_channel.output_string oc (l ^ "\n")) edited);
+          let resumed = Campaign.run ~workers:1 ~checkpoint:(path, Plans.inject_codec) (plan ()) in
+          Alcotest.(check int) (label ^ ": edited shard recomputed") 1 resumed.Campaign.resumed;
+          Alcotest.(check bool) (label ^ ": totals match a clean run") true
+            (stats_equal reference (Plans.inject_totals resumed))))
+    cases
 
 let () =
   Alcotest.run "inject"
@@ -429,15 +458,9 @@ let () =
         [
           Alcotest.test_case "json roundtrip" `Quick test_stats_json_roundtrip;
           Alcotest.test_case "merge order independent" `Quick test_stats_merge_order_independent;
-        ] );
-      ( "mega",
-        [
-          Alcotest.test_case "agrees with engine stats" `Quick
-            test_mega_agrees_with_engine_stats;
-          Alcotest.test_case "merge order independent" `Quick
-            test_mega_merge_order_independent;
-          Alcotest.test_case "json roundtrip" `Quick test_mega_json_roundtrip;
-          Alcotest.test_case "reproducer cap" `Quick test_mega_reproducer_cap;
-          Alcotest.test_case "latency histogram" `Quick test_mega_latency_histogram;
+          Alcotest.test_case "reproducer cap" `Quick test_reproducer_cap;
+          Alcotest.test_case "latency histogram" `Quick test_latency_histogram;
+          Alcotest.test_case "checkpoint rejects impossible stats" `Quick
+            test_checkpoint_rejects_impossible_stats;
         ] );
     ]

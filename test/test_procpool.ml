@@ -1,4 +1,4 @@
-(* Tests for the fork-based process pool and the crash-isolated mega
+(* Tests for the fork-based process pool and the crash-isolated
    campaign executor.
 
    These live in their own binary, separate from test_campaign.ml, for a
@@ -106,23 +106,34 @@ let test_procpool_rejects_bad_args () =
   Alcotest.check_raises "workers < 1" (Invalid_argument "Procpool.run: workers < 1")
     (fun () -> ignore (Procpool.run ~workers:0 ~tasks:1 (fun ~task ~attempt:_ -> task)))
 
-(* --- Mega campaign under process isolation ------------------------------- *)
+(* --- Inject campaign under process isolation ----------------------------- *)
 
 let no_backoff = { Campaign.default_policy with backoff_s = (fun _ -> 0.) }
 let process_policy = { no_backoff with Campaign.isolation = Campaign.Processes }
 
-(* The ISSUE acceptance criterion: a 4-worker process-pool campaign with
-   one child SIGKILLed mid-shard completes, retries the shard, and its
-   statistics are bit-identical to an uninterrupted 1-worker run (which
-   executes inline — no domains, see the header comment). The kill is
-   injected by the env-var test hook the CI smoke also uses; attempt 2
-   of the same shard runs clean on a re-derived RNG. *)
+(* A 4-worker process-pool campaign with one child SIGKILLed mid-shard
+   completes, retries the shard, and its statistics are bit-identical to
+   an uninterrupted 1-worker run (which executes inline — no domains, see
+   the header comment), and so is a resume from the compacted manifest
+   it leaves. The kill is injected by the env-var test hook the CI smoke
+   also uses; attempt 2 of the same shard runs clean on a re-derived
+   RNG. *)
 let test_process_pool_survives_sigkill () =
-  let plan () = Plans.mega_plan ~pac_bits:6 ~faults:24 ~shard_faults:4 ~seed:21L () in
-  let reference = Campaign.run ~workers:1 (plan ()) in
+  let plan () = Plans.inject_plan ~pac_bits:6 ~faults:24 ~shards:6 ~seed:21L () in
+  let reference = Plans.inject_totals (Campaign.run ~workers:1 (plan ())) in
+  let path = Filename.temp_file "pacstack_procpool" ".jsonl" in
+  Sys.remove path;
+  let run ?progress () =
+    Campaign.run ~workers:4 ?progress ~policy:process_policy
+      ~checkpoint:(path, Plans.inject_codec)
+      ~compaction:(Plans.inject_compaction ~keep:2)
+      (plan ())
+  in
   Unix.putenv "PACSTACK_TEST_KILL_SHARD" "2";
   Fun.protect
-    ~finally:(fun () -> Unix.putenv "PACSTACK_TEST_KILL_SHARD" "")
+    ~finally:(fun () ->
+      Unix.putenv "PACSTACK_TEST_KILL_SHARD" "";
+      if Sys.file_exists path then Sys.remove path)
     (fun () ->
       let retried = ref 0 and degraded = ref 0 in
       let sink = function
@@ -130,14 +141,16 @@ let test_process_pool_survives_sigkill () =
         | Progress.Pool_degraded _ -> incr degraded
         | _ -> ()
       in
-      let outcome =
-        Campaign.run ~workers:4 ~progress:sink ~policy:process_policy (plan ())
-      in
+      let outcome = run ~progress:sink () in
       Alcotest.(check int) "no quarantine" 0 (List.length outcome.Campaign.quarantined);
       Alcotest.(check int) "killed shard retried" 1 !retried;
       Alcotest.(check int) "pool degraded once" 1 !degraded;
       Alcotest.(check bool) "process-pool totals = 1-worker totals" true
-        (Plans.mega_totals outcome = Plans.mega_totals reference))
+        (Plans.inject_totals outcome = reference);
+      let resumed = run () in
+      Alcotest.(check int) "every shard restored" 6 resumed.Campaign.resumed;
+      Alcotest.(check bool) "compacted resume = 1-worker totals" true
+        (Plans.inject_totals resumed = reference))
 
 (* A shard whose child ALWAYS dies abnormally ends up quarantined in the
    manifest, and the campaign still completes every healthy shard. *)

@@ -293,7 +293,7 @@ let test_binomial_ci () =
 
 let test_wilson () =
   (* no data: the interval is the whole unit line, not an exception —
-     mega-campaign tables hold cells with zero trials *)
+     inject tables hold cells with zero trials *)
   let lo, hi = Stats.wilson ~successes:0 ~trials:0 in
   Alcotest.check feq "n=0 lower" 0.0 lo;
   Alcotest.check feq "n=0 upper" 1.0 hi;
