@@ -15,10 +15,15 @@
      headline metric: corruption that changed the program's behaviour
      and was never caught.
 
-   Generic sites pause the machine at a trigger point (a fraction of
-   the reference run's retired instructions, via {!Machine.run_until}),
-   xor a pattern into the chosen slot and resume.  The two structured
-   sites replay the paper's actual attacks:
+   Every run starts from [Machine.instantiate] of a pristine victim that
+   each domain compiles and loads once per (scheme, pac_bits).  Generic
+   sites pause the machine at a trigger point (a fraction of the
+   reference run's retired instructions, via {!Machine.run_until}), xor
+   a pattern into the chosen slot and resume.  The injected run is a
+   [Machine.clone] of the reference taken at the trigger the victim's
+   predicted length implies; if the reference's real length implies
+   another, a fresh instance runs to the real one instead.  The two
+   structured sites replay the paper's actual attacks:
 
    - [Reload_window] mounts the §6.1 reuse attack inside the §5.2
      store-to-reload window.  A hook at full call depth harvests every
@@ -54,6 +59,7 @@ module Machine = Pacstack_machine.Machine
 module Memory = Pacstack_machine.Memory
 module Trap = Pacstack_machine.Trap
 module Kernel = Pacstack_machine.Kernel
+module Program = Pacstack_isa.Program
 module Compile = Pacstack_minic.Compile
 module Trace = Pacstack_fuzz.Trace
 module Json = Pacstack_campaign.Json
@@ -177,27 +183,108 @@ let apply_site cfg (spec : Fault.spec) scheme m =
 let obs_label scheme m =
   if Obs.enabled () then Machine.set_obs_label m (Scheme.to_string scheme)
 
-let reference cfg scheme compiled keys_rng =
-  let m = Machine.load ~cfg:(machine_cfg cfg) ~rng:(Rng.copy keys_rng) compiled in
-  obs_label scheme m;
-  let outcome = Machine.run ~fuel:cfg.fuel m in
-  (trace_of m outcome, max 1 (Machine.instructions_retired m))
+(* Deterministic per-scheme counter: a pure function of the fault, so
+   the obs channel stays identical at any worker count. *)
+let obs_count name scheme =
+  if Obs.enabled () then
+    Obs.Metrics.incr (Printf.sprintf "%s{scheme=%s}" name (Scheme.to_string scheme))
 
-let run_generic cfg (spec : Fault.spec) scheme compiled keys_rng =
-  let ref_trace, total = reference cfg scheme compiled keys_rng in
-  let trigger = max 1 (int_of_float (spec.trigger *. float_of_int total)) in
-  let m = Machine.load ~cfg:(machine_cfg cfg) ~rng:(Rng.copy keys_rng) compiled in
-  obs_label scheme m;
-  match
-    Machine.run_until ~fuel:cfg.fuel m ~stop:(fun m ->
-        Machine.instructions_retired m >= trigger)
-  with
-  | Some outcome -> classify ~ref_trace ~injected_cycles:(Machine.cycles m) m outcome
+(* ------------------------------------------------------------------ *)
+(* Per-domain victim table                                             *)
+
+(* The victim never changes, so each domain compiles and loads it once
+   per (scheme, pac_bits) and every run starts from
+   [Machine.instantiate] of that pristine machine.  Schemes that compile
+   both victims to the same code (keyed by a digest of the compiled
+   programs) share one entry: the table is live for the whole campaign,
+   and the GC sizes the heap to a multiple of what stays live.
+   [predicted] is the retired-instruction count of one run under fixed
+   keys: the generic sites fork at the trigger it implies.  Building it
+   with the entry, not from the first fault a domain happens to run,
+   makes the fork or refork decision a pure function of the fault.  The
+   build is muted: how often it happens depends on the worker count. *)
+type victim = { pristine : Machine.t; predicted : int; signal : Program.t }
+
+type table = {
+  by_scheme : (string * int, victim) Hashtbl.t;
+  by_code : (Digest.t * int, victim) Hashtbl.t;
+}
+
+let victims : table Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> { by_scheme = Hashtbl.create 16; by_code = Hashtbl.create 16 })
+
+let prediction_seed = 0x5eed_1e57L
+
+let build_victim table cfg scheme =
+  Obs.muted @@ fun () ->
+  let program = Compile.compile ~scheme (Victim.program ()) in
+  let signal = Compile.compile ~scheme (Victim.signal_program ()) in
+  let code = (Digest.string (Marshal.to_string (program, signal) []), cfg.pac_bits) in
+  match Hashtbl.find_opt table.by_code code with
+  | Some v -> v
   | None ->
+    let pristine = Machine.load ~cfg:(machine_cfg cfg) program in
+    let probe = Machine.instantiate ~rng:(Rng.create prediction_seed) pristine in
+    ignore (Machine.run probe);
+    let v = { pristine; predicted = max 1 (Machine.instructions_retired probe); signal } in
+    Hashtbl.add table.by_code code v;
+    v
+
+let victim cfg scheme =
+  let table = Domain.DLS.get victims in
+  let key = (Scheme.to_string scheme, cfg.pac_bits) in
+  match Hashtbl.find_opt table.by_scheme key with
+  | Some v -> v
+  | None ->
+    let v = build_victim table cfg scheme in
+    Hashtbl.add table.by_scheme key v;
+    v
+
+(* Reference and injected runs draw keys from copies of the same
+   stream, so they run under identical keys. *)
+let instance scheme v keys_rng =
+  let m = Machine.instantiate ~rng:(Rng.copy keys_rng) v.pristine in
+  obs_label scheme m;
+  m
+
+let trigger_at (spec : Fault.spec) total =
+  max 1 (int_of_float (spec.trigger *. float_of_int total))
+
+let at_trigger trigger m = Machine.instructions_retired m >= trigger
+
+(* The injected run shares the reference's prefix: run the reference to
+   the trigger its predicted length implies, clone it there, and finish
+   the reference with the fuel that remains.  The clone is exactly the
+   machine a fresh instance run to the same trigger would be.  When the
+   reference's real length implies another trigger (or it ended first),
+   the clone is thrown away and a fresh instance runs to the real one. *)
+let run_generic cfg (spec : Fault.spec) scheme v keys_rng =
+  let predicted = trigger_at spec v.predicted in
+  let m = instance scheme v keys_rng in
+  let fork, outcome =
+    match Machine.run_until ~fuel:cfg.fuel m ~stop:(at_trigger predicted) with
+    | Some outcome -> (None, outcome)
+    | None ->
+      let fork = Machine.clone m in
+      (Some fork, Machine.run ~fuel:(cfg.fuel - Machine.instructions_retired m) m)
+  in
+  let ref_trace = trace_of m outcome in
+  let trigger = trigger_at spec (max 1 (Machine.instructions_retired m)) in
+  let inject m =
     let at = Machine.cycles m in
     apply_site cfg spec scheme m;
-    let outcome = Machine.run ~fuel:cfg.fuel m in
-    classify ~ref_trace ~injected_cycles:at m outcome
+    classify ~ref_trace ~injected_cycles:at m (Machine.run ~fuel:cfg.fuel m)
+  in
+  match fork with
+  | Some fork when trigger = predicted ->
+    obs_count "inject.fork" scheme;
+    inject fork
+  | Some _ | None -> (
+    obs_count "inject.refork" scheme;
+    let m = instance scheme v keys_rng in
+    match Machine.run_until ~fuel:cfg.fuel m ~stop:(at_trigger trigger) with
+    | Some outcome -> classify ~ref_trace ~injected_cycles:(Machine.cycles m) m outcome
+    | None -> inject m)
 
 (* ------------------------------------------------------------------ *)
 (* Reload-window reuse attack (§5.2 window, §6.1 substitution)         *)
@@ -254,10 +341,10 @@ let blind_pair (spec : Fault.spec) =
   let y = (x + 1 + (spec.pick mod (paths - 1))) mod paths in
   (x, y)
 
-let run_window cfg (spec : Fault.spec) scheme compiled keys_rng =
-  let ref_trace, _ = reference cfg scheme compiled keys_rng in
-  let m = Machine.load ~cfg:(machine_cfg cfg) ~rng:(Rng.copy keys_rng) compiled in
-  obs_label scheme m;
+let run_window cfg (spec : Fault.spec) scheme ~fresh =
+  let r = fresh () in
+  let ref_trace = trace_of r (Machine.run ~fuel:cfg.fuel r) in
+  let m = fresh () in
   let paths = Victim.paths in
   let handles = Array.make paths 0L in
   let w1s = Array.make paths 0L in
@@ -312,8 +399,7 @@ let signal_policy scheme =
    (X0..X30, SP, PC, flags). *)
 let saved_pc_index = 32
 
-let run_signal cfg (spec : Fault.spec) scheme keys_rng =
-  let compiled = Compile.compile ~scheme (Victim.signal_program ()) in
+let run_signal cfg (spec : Fault.spec) scheme compiled keys_rng =
   let policy = signal_policy scheme in
   let boot rng =
     let k = Kernel.create ~signal_policy:policy rng in
@@ -326,8 +412,7 @@ let run_signal cfg (spec : Fault.spec) scheme keys_rng =
      runs both deliver at the same retired-instruction point *)
   let _, _, base_m = boot (Rng.copy keys_rng) in
   ignore (Machine.run ~fuel:cfg.fuel base_m);
-  let total = max 1 (Machine.instructions_retired base_m) in
-  let trigger = max 1 (int_of_float (spec.trigger *. float_of_int total)) in
+  let trigger = trigger_at spec (max 1 (Machine.instructions_retired base_m)) in
   (* keep the corruption inside the code segment: flip only low,
      4-byte-aligned PC bits so an unprotected resume lands on some other
      instruction rather than trivially faulting on unmapped memory *)
@@ -338,8 +423,7 @@ let run_signal cfg (spec : Fault.spec) scheme keys_rng =
   let run ~corrupt =
     let k, p, m = boot (Rng.copy keys_rng) in
     match
-      Machine.run_until ~fuel:cfg.fuel m ~stop:(fun m ->
-          Machine.instructions_retired m >= trigger)
+      Machine.run_until ~fuel:cfg.fuel m ~stop:(at_trigger trigger)
     with
     | Some outcome -> (trace_of m outcome, Machine.cycles m, m, outcome)
     | None ->
@@ -365,13 +449,13 @@ let run_signal cfg (spec : Fault.spec) scheme keys_rng =
 (* Per-fault driver                                                    *)
 
 let run_one cfg (spec : Fault.spec) scheme keys_rng =
+  let v = victim cfg scheme in
   match spec.site with
-  | Fault.Signal_frame -> run_signal cfg spec scheme keys_rng
+  | Fault.Signal_frame -> run_signal cfg spec scheme v.signal keys_rng
   | Fault.Reload_window ->
-    run_window cfg spec scheme (Compile.compile ~scheme (Victim.program ())) keys_rng
+    run_window cfg spec scheme ~fresh:(fun () -> instance scheme v keys_rng)
   | Fault.Ret_slot | Fault.Chain_spill | Fault.Cr_reg | Fault.Lr_reg | Fault.Shadow_slot
-  | Fault.Pac_bits ->
-    run_generic cfg spec scheme (Compile.compile ~scheme (Victim.program ())) keys_rng
+  | Fault.Pac_bits -> run_generic cfg spec scheme v keys_rng
 
 (* One trace event per fault, keyed by its index — campaign sharding
    hands each index to exactly one worker, so the merged trace is

@@ -51,6 +51,47 @@ val run_fault : config -> campaign_seed:int64 -> int -> result list
     on any worker. Ticks the {!Pacstack_campaign.Watchdog} once per
     scheme. *)
 
+(** {1 Site replays}
+
+    The pieces {!run_fault} builds each site's run from. Exposed so a
+    different way of making the machines (the tests' compile-and-load
+    oracle) classifies with exactly the same corruption and verdict
+    logic. *)
+
+val trace_of : Machine.t -> Machine.outcome -> Pacstack_fuzz.Trace.t
+(** The run's observable behaviour: how it ended and what it printed. *)
+
+val classify :
+  ref_trace:Pacstack_fuzz.Trace.t ->
+  injected_cycles:int ->
+  Machine.t ->
+  Machine.outcome ->
+  classification
+(** Verdict of an injected run that ended with [outcome], against the
+    un-faulted reference's trace; detection latency counts from
+    [injected_cycles]. *)
+
+val apply_site : config -> Fault.spec -> Scheme.t -> Machine.t -> unit
+(** Applies a generic site's corruption to a machine paused at the
+    trigger (or [config.tamper], when set). Raises {!Misrouted_site} for
+    the two structured sites. *)
+
+val run_window :
+  config -> Fault.spec -> Scheme.t -> fresh:(unit -> Machine.t) -> classification
+(** The [Reload_window] replay: a reference run, then the harvesting
+    adversary's run, each on a machine from [fresh] (which must give
+    identical machines, never-run, with no hook attached). *)
+
+val run_signal :
+  config ->
+  Fault.spec ->
+  Scheme.t ->
+  Pacstack_isa.Program.t ->
+  Pacstack_util.Rng.t ->
+  classification
+(** The [Signal_frame] replay of the compiled {!Victim.signal_program},
+    booted under the kernel from copies of the fault's key stream. *)
+
 (** {1 Mergeable campaign statistics}
 
     Constant-size sufficient statistics: memory is O(sites x schemes),

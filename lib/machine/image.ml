@@ -9,11 +9,14 @@ module Encode = Pacstack_isa.Encode
    Image never learns what it stores. *)
 type cache = ..
 
+(* Only what execution needs: the program's function bodies live on in
+   [code] and the symbol tables, its binary encoding is rebuilt on
+   demand ([encoded]), so a loaded image kept alive for reuse stays
+   small. *)
 type t = {
-  program : Program.t;
+  entry_name : string;
+  data : Program.data list;
   code : Instr.t array;
-  words : int32 array;
-  pools : Encode.pools;
   globals : (string, Word64.t) Hashtbl.t;
   locals : (string * string, Word64.t) Hashtbl.t;  (* (function, label) *)
   bounds : (string * Word64.t * Word64.t) list;    (* name, first, past-last *)
@@ -76,7 +79,6 @@ let build (p : Program.t) =
       daddr := Int64.add !daddr (Int64.of_int size))
     program.data;
   let code = Array.of_list (List.rev !code) in
-  let words, pools = Encode.encode (Array.to_list code) in
   let entries = Hashtbl.create 16 in
   List.iter (fun (_, first, _) -> Hashtbl.replace entries first ()) !bounds;
   (* Formatted once here instead of on every raise: the message names the
@@ -89,11 +91,11 @@ let build (p : Program.t) =
             (Int64.add code_base (Int64.of_int (4 * Array.length code)))))
   in
   {
-    program; code; words; pools; globals; locals;
+    entry_name = p.entry; data; code; globals; locals;
     bounds = List.rev !bounds; entries; fetch_trap; cache = None;
   }
 
-let program t = t.program
+let data t = t.data
 
 let fetch t addr =
   let off = Int64.sub addr code_base in
@@ -128,6 +130,8 @@ let function_at t addr =
       else None)
     t.bounds
 
+let functions t = t.bounds
+
 let function_bounds t name =
   List.find_map
     (fun (n, first, past) -> if n = name then Some (first, past) else None)
@@ -142,7 +146,7 @@ let resolve t ~from label =
   match local with Some a -> Some a | None -> symbol t label
 
 let entry t =
-  match symbol t t.program.entry with
+  match symbol t t.entry_name with
   | Some a -> a
   | None -> invalid_arg "Image.entry"
 
@@ -156,8 +160,10 @@ let sigreturn_trampoline t = required t "__sigreturn_trampoline"
 
 let code_size t = 4 * Array.length t.code
 
-let encoded t = (t.words, t.pools)
+let encoded t = Encode.encode (Array.to_list t.code)
 
 let is_function_entry t addr = Hashtbl.mem t.entries addr
 
-let disassemble t = Encode.disassemble t.words t.pools
+let disassemble t =
+  let words, pools = encoded t in
+  Encode.disassemble words pools

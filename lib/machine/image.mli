@@ -18,7 +18,8 @@ val build : Pacstack_isa.Program.t -> t
     [__sigreturn_trampoline] runtime stubs if the program does not define
     them) and computes the symbol tables. *)
 
-val program : t -> Pacstack_isa.Program.t
+val data : t -> Pacstack_isa.Program.data list
+(** The program's data objects, including the appended canary guard. *)
 
 val fetch : t -> Pacstack_util.Word64.t -> Pacstack_isa.Instr.t option
 (** The instruction at a code address, [None] outside the code image. *)
@@ -59,12 +60,17 @@ val function_at : t -> Pacstack_util.Word64.t -> string option
 val function_bounds : t -> string -> (Pacstack_util.Word64.t * Pacstack_util.Word64.t) option
 (** [(first, past_last)] code addresses of a function. *)
 
+val functions : t -> (string * Pacstack_util.Word64.t * Pacstack_util.Word64.t) list
+(** Every function, runtime stubs included, as [(name, first,
+    past_last)] in layout order. *)
+
 val code_size : t -> int
 (** Bytes of code. *)
 
 val encoded : t -> int32 array * Pacstack_isa.Encode.pools
 (** The binary encoding of the code image — what the loader writes into
-    the executable pages. *)
+    the executable pages. Encoded afresh on every call (the image does
+    not keep it). *)
 
 val is_function_entry : t -> Pacstack_util.Word64.t -> bool
 (** Whether an address is the first instruction of some function — the

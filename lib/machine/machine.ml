@@ -396,7 +396,10 @@ let live_index t v =
 
 let compile_op image nops idx instr : t -> int =
   let addr = Int64.add Image.code_base (Int64.of_int (4 * idx)) in
-  let next = Int64.add addr 4L in
+  (* An int64 captured by a closure is a pointer to its own 3-word box,
+     one per op; as an immediate the fall-through pc costs nothing
+     (code addresses fit in 63 bits). *)
+  let next = Int64.to_int (Int64.add addr 4L) in
   let cyc = Instr.cycles instr in
   (* Index of the op for a compile-time-known target address. *)
   let static_index a =
@@ -420,13 +423,13 @@ let compile_op image nops idx instr : t -> int =
       fun t ->
         op_pre t cyc instr;
         set t rd (f (get t rn) (get t rm));
-        set_pc t next;
+        set_pc t (Int64.of_int next);
         nexti
     | Instr.Imm i ->
       fun t ->
         op_pre t cyc instr;
         set t rd (f (get t rn) i);
-        set_pc t next;
+        set_pc t (Int64.of_int next);
         nexti
   in
   (* Conditional branches evaluate the label lazily in the reference, so
@@ -437,11 +440,11 @@ let compile_op image nops idx instr : t -> int =
       let ti = static_index a in
       fun t ->
         op_pre t cyc instr;
-        if test t then (set_pc t a; ti) else (set_pc t next; nexti)
+        if test t then (set_pc t a; ti) else (set_pc t (Int64.of_int next); nexti)
     | Error e ->
       fun t ->
         op_pre t cyc instr;
-        if test t then raise e else (set_pc t next; nexti)
+        if test t then raise e else (set_pc t (Int64.of_int next); nexti)
   in
   match instr with
   | Instr.Add (rd, rn, op) -> (
@@ -450,13 +453,13 @@ let compile_op image nops idx instr : t -> int =
       fun t ->
         op_pre t cyc instr;
         set t rd (Int64.add (get t rn) (get t rm));
-        set_pc t next;
+        set_pc t (Int64.of_int next);
         nexti
     | Instr.Imm i ->
       fun t ->
         op_pre t cyc instr;
         set t rd (Int64.add (get t rn) i);
-        set_pc t next;
+        set_pc t (Int64.of_int next);
         nexti)
   | Instr.Sub (rd, rn, op) -> (
     match op with
@@ -464,26 +467,26 @@ let compile_op image nops idx instr : t -> int =
       fun t ->
         op_pre t cyc instr;
         set t rd (Int64.sub (get t rn) (get t rm));
-        set_pc t next;
+        set_pc t (Int64.of_int next);
         nexti
     | Instr.Imm i ->
       fun t ->
         op_pre t cyc instr;
         set t rd (Int64.sub (get t rn) i);
-        set_pc t next;
+        set_pc t (Int64.of_int next);
         nexti)
   | Instr.Mul (rd, rn, rm) ->
     fun t ->
       op_pre t cyc instr;
       set t rd (Int64.mul (get t rn) (get t rm));
-      set_pc t next;
+      set_pc t (Int64.of_int next);
       nexti
   | Instr.Udiv (rd, rn, rm) ->
     fun t ->
       op_pre t cyc instr;
       let d = get t rm in
       set t rd (if d = 0L then 0L else Int64.unsigned_div (get t rn) d);
-      set_pc t next;
+      set_pc t (Int64.of_int next);
       nexti
   | Instr.And_ (rd, rn, op) -> binop rd rn op Int64.logand
   | Instr.Orr (rd, rn, op) -> binop rd rn op Int64.logor
@@ -493,13 +496,13 @@ let compile_op image nops idx instr : t -> int =
       fun t ->
         op_pre t cyc instr;
         set t rd (Int64.logxor (get t rn) (get t rm));
-        set_pc t next;
+        set_pc t (Int64.of_int next);
         nexti
     | Instr.Imm i ->
       fun t ->
         op_pre t cyc instr;
         set t rd (Int64.logxor (get t rn) i);
-        set_pc t next;
+        set_pc t (Int64.of_int next);
         nexti)
   | Instr.Lsl_ (rd, rn, op) -> (
     match op with
@@ -508,7 +511,7 @@ let compile_op image nops idx instr : t -> int =
       fun t ->
         op_pre t cyc instr;
         set t rd (Int64.shift_left (get t rn) sh);
-        set_pc t next;
+        set_pc t (Int64.of_int next);
         nexti
     | Instr.Reg _ ->
       binop rd rn op (fun a b -> Int64.shift_left a (Int64.to_int b land 63)))
@@ -519,56 +522,56 @@ let compile_op image nops idx instr : t -> int =
       fun t ->
         op_pre t cyc instr;
         set t rd (Int64.shift_right_logical (get t rn) sh);
-        set_pc t next;
+        set_pc t (Int64.of_int next);
         nexti
     | Instr.Reg _ ->
       binop rd rn op (fun a b -> Int64.shift_right_logical a (Int64.to_int b land 63)))
   | Instr.Mov (rd, op) -> (
     match op with
     | Instr.Reg rm ->
-      fun t -> op_pre t cyc instr; set t rd (get t rm); set_pc t next; nexti
-    | Instr.Imm i -> fun t -> op_pre t cyc instr; set t rd i; set_pc t next; nexti)
+      fun t -> op_pre t cyc instr; set t rd (get t rm); set_pc t (Int64.of_int next); nexti
+    | Instr.Imm i -> fun t -> op_pre t cyc instr; set t rd i; set_pc t (Int64.of_int next); nexti)
   | Instr.Cmp (rn, op) -> (
     match op with
     | Instr.Reg rm ->
       fun t ->
         op_pre t cyc instr;
         t.flags_bits <- Cond.bits_of_compare (get t rn) (get t rm);
-        set_pc t next;
+        set_pc t (Int64.of_int next);
         nexti
     | Instr.Imm i ->
       fun t ->
         op_pre t cyc instr;
         t.flags_bits <- Cond.bits_of_compare (get t rn) i;
-        set_pc t next;
+        set_pc t (Int64.of_int next);
         nexti)
   | Instr.Adr (rd, l) -> (
     match target l with
-    | Ok a -> fun t -> op_pre t cyc instr; set t rd a; set_pc t next; nexti
+    | Ok a -> fun t -> op_pre t cyc instr; set t rd a; set_pc t (Int64.of_int next); nexti
     | Error e -> fun t -> op_pre t cyc instr; raise e)
   | Instr.Ldr (rt, m) ->
     fun t ->
       op_pre_mem t cyc 1 instr;
       set t rt (load64 t (effective t m));
-      set_pc t next;
+      set_pc t (Int64.of_int next);
       nexti
   | Instr.Str (rt, m) ->
     fun t ->
       op_pre_mem t cyc 1 instr;
       store64 t (effective t m) (get t rt);
-      set_pc t next;
+      set_pc t (Int64.of_int next);
       nexti
   | Instr.Ldrb (rt, m) ->
     fun t ->
       op_pre_mem t cyc 1 instr;
       set t rt (Int64.of_int (load8 t (effective t m)));
-      set_pc t next;
+      set_pc t (Int64.of_int next);
       nexti
   | Instr.Strb (rt, m) ->
     fun t ->
       op_pre_mem t cyc 1 instr;
       store8 t (effective t m) (Int64.to_int (Int64.logand (get t rt) 0xffL));
-      set_pc t next;
+      set_pc t (Int64.of_int next);
       nexti
   | Instr.Ldp (r1, r2, m) ->
     fun t ->
@@ -576,7 +579,7 @@ let compile_op image nops idx instr : t -> int =
       let a = effective t m in
       set t r1 (load64 t a);
       set t r2 (load64 t (Int64.add a 8L));
-      set_pc t next;
+      set_pc t (Int64.of_int next);
       nexti
   | Instr.Stp (r1, r2, m) ->
     fun t ->
@@ -584,7 +587,7 @@ let compile_op image nops idx instr : t -> int =
       let a = effective t m in
       store64 t a (get t r1);
       store64 t (Int64.add a 8L) (get t r2);
-      set_pc t next;
+      set_pc t (Int64.of_int next);
       nexti
   | Instr.B l -> (
     match target l with
@@ -601,14 +604,14 @@ let compile_op image nops idx instr : t -> int =
       let ti = static_index a in
       fun t ->
         op_pre t cyc instr;
-        set_lr t next;
+        set_lr t (Int64.of_int next);
         set_pc t a;
         ti
     | Error e ->
       (* LR is written before [resolve] raises in the reference. *)
       fun t ->
         op_pre t cyc instr;
-        set_lr t next;
+        set_lr t (Int64.of_int next);
         raise e)
   | Instr.Blr r ->
     fun t ->
@@ -616,7 +619,7 @@ let compile_op image nops idx instr : t -> int =
       let target = get t r in
       if t.forward_cfi && not (Image.is_function_entry image target) then
         raise (Trap.Fault (Trap.Cfi_violation target));
-      set_lr t next;
+      set_lr t (Int64.of_int next);
       set_pc t target;
       live_index t target
   | Instr.Br r ->
@@ -643,38 +646,38 @@ let compile_op image nops idx instr : t -> int =
     fun t ->
       op_pre_pac t cyc cell instr;
       set t rd (Pac.add t.cfg (ia t) (get t rd) ~modifier:(get t rn));
-      set_pc t next;
+      set_pc t (Int64.of_int next);
       nexti
   | Instr.Autia (rd, rn) ->
     let cell = if rn = Reg.cr then 8 else 1 in
     fun t ->
       op_pre_pac t cyc cell instr;
       set t rd (Pac.auth_value t.cfg (ia t) (get t rd) ~modifier:(get t rn));
-      set_pc t next;
+      set_pc t (Int64.of_int next);
       nexti
   | Instr.Paciasp ->
     fun t ->
       op_pre_pac t cyc 2 instr;
       set_lr t (Pac.add t.cfg (ia t) (lr t) ~modifier:(sp t));
-      set_pc t next;
+      set_pc t (Int64.of_int next);
       nexti
   | Instr.Autiasp ->
     fun t ->
       op_pre_pac t cyc 3 instr;
       set_lr t (Pac.auth_value t.cfg (ia t) (lr t) ~modifier:(sp t));
-      set_pc t next;
+      set_pc t (Int64.of_int next);
       nexti
   | Instr.Xpaci r ->
     fun t ->
       op_pre_pac t cyc 6 instr;
       set t r (Pac.strip t.cfg (get t r));
-      set_pc t next;
+      set_pc t (Int64.of_int next);
       nexti
   | Instr.Pacga (rd, rn, rm) ->
     fun t ->
       op_pre_pac t cyc 5 instr;
       set t rd (Pac.generic t.cfg (ga t) (get t rn) ~modifier:(get t rm));
-      set_pc t next;
+      set_pc t (Int64.of_int next);
       nexti
   (* The remaining ops return -1 unconditionally: a syscall handler or
      hook may halt the machine, remap memory or move pc, and Hlt halts —
@@ -682,20 +685,20 @@ let compile_op image nops idx instr : t -> int =
   | Instr.Svc n ->
     fun t ->
       op_pre t cyc instr;
-      set_pc t next;
+      set_pc t (Int64.of_int next);
       t.on_syscall t n;
       -1
-  | Instr.Nop -> fun t -> op_pre t cyc instr; set_pc t next; nexti
+  | Instr.Nop -> fun t -> op_pre t cyc instr; set_pc t (Int64.of_int next); nexti
   | Instr.Hlt ->
     fun t ->
       op_pre t cyc instr;
       t.halted <- Some (Int64.to_int (get t (Reg.X 0)));
-      set_pc t next;
+      set_pc t (Int64.of_int next);
       -1
   | Instr.Hook name ->
     fun t ->
       op_pre t cyc instr;
-      set_pc t next;
+      set_pc t (Int64.of_int next);
       (match Hashtbl.find_opt t.hooks name with
       | Some f -> f t
       | None -> ());
@@ -874,9 +877,19 @@ end
 
 (* --- construction ----------------------------------------------------- *)
 
-let load ?(cfg = Config.default) ?keys ?rng program =
+(* Keys first, then the canary: [load] and [instantiate] draw from the
+   generator in this order, so the same seed gives the same machine. *)
+let draw_keys ?keys rng =
   let rng = match rng with Some r -> r | None -> Rng.create 0x9ac57ac4L in
-  let keys = match keys with Some k -> k | None -> Keys.generate ~fast:true rng in
+  (rng, match keys with Some k -> k | None -> Keys.generate ~fast:true rng)
+
+let seed_canary t rng =
+  match Image.symbol t.image canary_symbol with
+  | Some a -> Memory.store64 t.mem a (Rng.next64 rng)
+  | None -> ()
+
+let load ?(cfg = Config.default) ?keys ?rng program =
+  let rng, keys = draw_keys ?keys rng in
   let image = Image.build program in
   let mem = Memory.create () in
   let code_bytes = max Memory.page_size (Image.code_size image) in
@@ -895,7 +908,7 @@ let load ?(cfg = Config.default) ?keys ?rng program =
   let data_bytes =
     List.fold_left
       (fun acc (d : Pacstack_isa.Program.data) -> acc + ((d.size + 15) land lnot 15))
-      16 (Image.program image).data
+      16 (Image.data image)
   in
   Memory.map mem ~addr:Image.data_base ~size:(max Memory.page_size data_bytes) Memory.perm_rw;
   Memory.map mem
@@ -943,9 +956,7 @@ let load ?(cfg = Config.default) ?keys ?rng program =
       xcache_gen = stale_gen;
     }
   in
-  (match Image.symbol image canary_symbol with
-  | Some a -> Memory.store64 mem a (Rng.next64 rng)
-  | None -> ());
+  seed_canary t rng;
   set t Reg.SP Image.stack_top;
   set_pc t (Image.entry image);
   set t Reg.lr (Image.halt_addr image);
@@ -968,6 +979,32 @@ let clone t =
     xpages = Bytes.copy t.xpages;
     xcache_gen = stale_gen;
   }
+
+let instantiate ?keys ?rng t =
+  if t.instret <> 0 || t.cycles <> 0 then invalid_arg "Machine.instantiate: the template has already run";
+  let rng, keys = draw_keys ?keys rng in
+  let m =
+    {
+      t with
+      mem = Memory.copy t.mem;
+      keys;
+      regs = Bytes.copy t.regs;
+      halted = None;
+      forward_cfi = true;
+      tracer = None;
+      hooks = Hashtbl.create 4;
+      on_syscall = default_syscall;
+      out = [];
+      obs_label = "";
+      obs_pac = Array.make (Array.length t.obs_pac) 0;
+      obs_mark_dmiss = 0;
+      obs_mark_xmiss = 0;
+      xpages = Bytes.make (Bytes.length t.xpages) '\000';
+      xcache_gen = stale_gen;
+    }
+  in
+  seed_canary m rng;
+  m
 
 let pp_state fmt t =
   Format.fprintf fmt "pc=%a sp=%a lr=%a cr=%a x0=%a cycles=%d" Word64.pp (pc t) Word64.pp

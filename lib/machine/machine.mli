@@ -19,6 +19,23 @@ val load :
     entry symbol. [keys] defaults to a fresh set drawn from [rng]
     (defaulting to a fixed-seed generator). *)
 
+val instantiate :
+  ?keys:Pacstack_pa.Keys.t -> ?rng:Pacstack_util.Rng.t -> t -> t
+(** [instantiate template] is a fresh machine equal to [load] of the
+    template's program under the template's config: memory and
+    registers are copied, [keys] defaults to a set drawn from [rng]
+    (defaulting to [load]'s fixed-seed generator), and the canary is
+    drawn next, in [load]'s order, so the same [keys]/[rng] give the
+    same machine bit for bit. The image and its threaded ops are
+    shared, which is what makes this cheaper than [load]: load a
+    program once, then instantiate it per run.
+
+    Unlike {!clone}, the instance gets its own, empty hook table, the
+    default syscall handler, no tracer and no obs label: a hook
+    attached to one instance never fires in the template or in a
+    sibling. Raises [Invalid_argument] if the template has already
+    run. *)
+
 val clone : t -> t
 (** Deep copy: memory, registers and keys (used by [fork]). Hooks and the
     syscall handler are shared. *)

@@ -7,9 +7,20 @@ module Shard = Pacstack_campaign.Shard
    plain load, so a disabled guard is one load and one predictable
    branch. *)
 let flag = Atomic.make false
-let enabled () = Atomic.get flag
+
+(* Per-domain mute, read only once the global flag is on: the disabled
+   guard stays one load and one branch. *)
+let mute : bool ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref false)
+
+let enabled () = Atomic.get flag && not !(Domain.DLS.get mute)
 let enable () = Atomic.set flag true
 let disable () = Atomic.set flag false
+
+let muted f =
+  let m = Domain.DLS.get mute in
+  let saved = !m in
+  m := true;
+  Fun.protect ~finally:(fun () -> m := saved) f
 
 module Metrics = struct
   type value =

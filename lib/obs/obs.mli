@@ -1,7 +1,8 @@
 (** Zero-dependency observability: a metrics registry, a structured-event
     tracer and a JSON-lines sink.
 
-    Everything is gated on one process-global flag, {!enabled}. The
+    Everything is gated on one process-global flag, {!enabled} (which a
+    domain can override locally with {!muted}). The
     contract with the hot paths (see DESIGN.md, "Observability") is that
     a *disabled* instrumentation site costs at most one atomic-bool load
     and a predictable branch — call sites must check {!enabled} before
@@ -25,7 +26,8 @@
 module Json = Pacstack_campaign.Json
 
 val enabled : unit -> bool
-(** One atomic load; [false] unless {!enable} was called. *)
+(** [false] unless {!enable} was called, and inside {!muted}. While
+    disabled this is one atomic load. *)
 
 val enable : unit -> unit
 (** Turns instrumentation on. Call before spawning worker domains (the
@@ -34,6 +36,13 @@ val enable : unit -> unit
 val disable : unit -> unit
 (** Turns instrumentation off. Recorded metrics and trace events are
     kept until {!reset}. *)
+
+val muted : (unit -> 'a) -> 'a
+(** [muted f] runs [f] with instrumentation off in the calling domain
+    only ({!enabled} reads [false] there until [f] returns or raises).
+    For work whose amount depends on the worker count, such as filling
+    a per-domain cache, so that it leaves no trace in the deterministic
+    channel. *)
 
 val reset : unit -> unit
 (** Clears all metrics and every domain's trace buffer. *)

@@ -220,6 +220,100 @@ let test_shadow_corruption_traps () =
       | Machine.Out_of_fuel -> "out of fuel"));
   Alcotest.(check bool) "permission trap at the ret" true (is_ret last)
 
+(* --- differential oracle: compile and load for every run ------------------ *)
+
+(* The straightforward pipeline: compile the victim for every fault and
+   scheme, [Machine.load] it for every run, and run the injected machine
+   from the start to the trigger the reference's length implies.
+   [Engine.run_fault] (pristine victim, [Machine.instantiate], fork at
+   the predicted trigger) must classify exactly as this does, causes and
+   latencies included. *)
+module Oracle = struct
+  let run_generic (cfg : Engine.config) (spec : Fault.spec) scheme fresh =
+    let r = fresh () in
+    let ref_trace = Engine.trace_of r (Machine.run ~fuel:cfg.Engine.fuel r) in
+    let total = max 1 (Machine.instructions_retired r) in
+    let trigger = max 1 (int_of_float (spec.Fault.trigger *. float_of_int total)) in
+    let m = fresh () in
+    match
+      Machine.run_until ~fuel:cfg.Engine.fuel m ~stop:(fun m ->
+          Machine.instructions_retired m >= trigger)
+    with
+    | Some outcome -> Engine.classify ~ref_trace ~injected_cycles:(Machine.cycles m) m outcome
+    | None ->
+      let at = Machine.cycles m in
+      Engine.apply_site cfg spec scheme m;
+      Engine.classify ~ref_trace ~injected_cycles:at m (Machine.run ~fuel:cfg.Engine.fuel m)
+
+  let run_fault (cfg : Engine.config) ~campaign_seed index =
+    let spec = Fault.derive ~campaign_seed index in
+    let keys_rng = Fault.rng ~campaign_seed index in
+    let mcfg = Config.make ~pac_bits:cfg.Engine.pac_bits () in
+    List.map
+      (fun scheme ->
+        let compiled = Compile.compile ~scheme (Victim.program ()) in
+        let fresh () = Machine.load ~cfg:mcfg ~rng:(Rng.copy keys_rng) compiled in
+        let classification =
+          match spec.Fault.site with
+          | Fault.Signal_frame ->
+            Engine.run_signal cfg spec scheme
+              (Compile.compile ~scheme (Victim.signal_program ()))
+              (Rng.copy keys_rng)
+          | Fault.Reload_window -> Engine.run_window cfg spec scheme ~fresh
+          | _ -> run_generic cfg spec scheme fresh
+        in
+        { Engine.spec; scheme; classification })
+      cfg.Engine.schemes
+end
+
+let same_results label expected actual =
+  List.iter2
+    (fun (e : Engine.result) (a : Engine.result) ->
+      if e <> a then
+        Alcotest.failf "%s: fault %d (%s) under %s: oracle %s, engine %s" label
+          e.Engine.spec.Fault.index
+          (Fault.site_to_string e.Engine.spec.Fault.site)
+          (Scheme.to_string e.Engine.scheme)
+          (Engine.classification_to_string e.Engine.classification)
+          (Engine.classification_to_string a.Engine.classification))
+    expected actual
+
+let test_oracle_agrees () =
+  List.iter
+    (fun pac_bits ->
+      let cfg = { Engine.default_config with Engine.pac_bits } in
+      let sites = Hashtbl.create 8 in
+      for i = 0 to 199 do
+        let expected = Oracle.run_fault cfg ~campaign_seed:11L i in
+        same_results (Printf.sprintf "pac_bits %d" pac_bits) expected
+          (Engine.run_fault cfg ~campaign_seed:11L i);
+        Hashtbl.replace sites (Fault.derive ~campaign_seed:11L i).Fault.site ()
+      done;
+      Alcotest.(check int) "every site exercised" (Array.length Fault.all_sites)
+        (Hashtbl.length sites))
+    [ 4; 12 ]
+
+(* Fuel below the victim's length: the reference runs out before the
+   predicted trigger (or lands on another one), so every generic fault
+   takes the refork path and must still match. *)
+let test_oracle_agrees_short_fuel () =
+  let cfg = { Engine.default_config with Engine.pac_bits = 12; fuel = 2_000 } in
+  for i = 0 to 39 do
+    same_results "fuel 2000"
+      (Oracle.run_fault cfg ~campaign_seed:13L i)
+      (Engine.run_fault cfg ~campaign_seed:13L i)
+  done
+
+(* The victim table is per domain: a fault run first in a fresh domain
+   (cold table) classifies as it does on a warm one. *)
+let test_cold_domain_agrees () =
+  let cfg = { Engine.default_config with Engine.pac_bits = 12 } in
+  for i = 0 to 7 do
+    let cold = Domain.join (Domain.spawn (fun () -> Engine.run_fault cfg ~campaign_seed:17L i)) in
+    ignore (Engine.run_fault cfg ~campaign_seed:17L (i + 100));
+    same_results "cold vs warm" cold (Engine.run_fault cfg ~campaign_seed:17L i)
+  done
+
 (* --- campaign wiring ------------------------------------------------------ *)
 
 let stats_equal (a : Engine.stats) (b : Engine.stats) = a = b
@@ -447,6 +541,13 @@ let () =
           Alcotest.test_case "shadow slot corruption" `Quick test_shadow_corruption_traps;
           Alcotest.test_case "misrouted site names the culprit" `Quick
             test_misrouted_site_names_culprit;
+        ] );
+      ( "oracle",
+        [
+          Alcotest.test_case "agrees at pac_bits 4 and 12" `Quick test_oracle_agrees;
+          Alcotest.test_case "agrees with fuel below the victim" `Quick
+            test_oracle_agrees_short_fuel;
+          Alcotest.test_case "cold domain agrees" `Quick test_cold_domain_agrees;
         ] );
       ( "campaign",
         [

@@ -404,6 +404,80 @@ let test_clone_independent () =
   Memory.store64 (Machine.memory m) slot 3L;
   Alcotest.check check_w64 "clone memory isolated" 0L (Memory.load64 (Machine.memory c) slot)
 
+(* [instantiate] is [load] without the image build: the same seed gives
+   the same registers, memory, keys and run, for schemes that use the
+   keys (pacstack) and the canary (stack protector). *)
+let test_instantiate_matches_load () =
+  let cfg = Config.make ~pac_bits:12 () in
+  List.iter
+    (fun scheme ->
+      let program = Pacstack_minic.Compile.compile ~scheme (Pacstack_inject.Victim.program ()) in
+      let template = Machine.load ~cfg program in
+      let pristine = Memory.digest (Machine.memory template) in
+      let check seed what ok =
+        Alcotest.(check bool)
+          (Printf.sprintf "%s, seed %Ld: %s" (Scheme.to_string scheme) seed what)
+          true ok
+      in
+      let regs m = Machine.context_words (Machine.save_context m) in
+      let digest m = Memory.digest (Machine.memory m) in
+      List.iter
+        (fun seed ->
+          let a = Machine.load ~cfg ~rng:(Rng.create seed) program in
+          let b = Machine.instantiate ~rng:(Rng.create seed) template in
+          check seed "registers" (regs a = regs b);
+          check seed "memory" (Int64.equal (digest a) (digest b));
+          check seed "keys" (Keys.equal (Machine.keys a) (Machine.keys b));
+          let oa = Machine.run a and ob = Machine.run b in
+          check seed "outcome" (oa = ob && match oa with Machine.Halted _ -> true | _ -> false);
+          check seed "output" (Machine.output a = Machine.output b);
+          check seed "cycles" (Machine.cycles a = Machine.cycles b);
+          check seed "end state" (Int64.equal (digest a) (digest b));
+          (* explicit keys: the generator then only seeds the canary *)
+          let keys = Keys.generate ~fast:true (Rng.create (Int64.neg seed)) in
+          let a = Machine.load ~cfg ~keys ~rng:(Rng.create seed) program in
+          let b = Machine.instantiate ~keys ~rng:(Rng.create seed) template in
+          check seed "memory, given keys" (Int64.equal (digest a) (digest b));
+          check seed "keys, given keys" (Keys.equal (Machine.keys a) (Machine.keys b)))
+        [ 1L; 2L; 0x5eedL ];
+      Alcotest.(check bool) "fresh keys per seed" false
+        (Keys.equal
+           (Machine.keys (Machine.instantiate ~rng:(Rng.create 1L) template))
+           (Machine.keys (Machine.instantiate ~rng:(Rng.create 2L) template)));
+      Alcotest.(check bool) "template untouched" true
+        (Int64.equal pristine (Memory.digest (Machine.memory template))))
+    [ Scheme.pacstack; Scheme.stack_protector ]
+
+let test_instantiate_rejects_run_template () =
+  let m = Machine.load (Asm.parse ".entry main\n.func main\n  mov x0, #0\n  hlt\n.endfunc") in
+  ignore (Machine.instantiate m);
+  Machine.step m;
+  match Machine.instantiate m with
+  | _ -> Alcotest.fail "instantiate accepted a template that has stepped"
+  | exception Invalid_argument _ -> ()
+
+(* Unlike [clone], instances do not share hooks or the syscall handler:
+   a hook attached to one instance fires in neither the template nor a
+   sibling, and a template's handler does not leak into instances. *)
+let test_instantiate_own_hooks () =
+  let m =
+    Machine.load
+      (Asm.parse
+         ".entry main\n.func main\n  hook probe\n  mov x0, #5\n  svc #1\n  mov x0, #0\n  hlt\n.endfunc")
+  in
+  Machine.set_syscall_handler m (fun _ _ -> Alcotest.fail "template handler leaked");
+  let a = Machine.instantiate m and b = Machine.instantiate m in
+  let fired = ref 0 in
+  Machine.attach_hook a "probe" (fun _ -> incr fired);
+  ignore (Machine.run b);
+  Alcotest.(check int) "sibling instance: hook not fired" 0 !fired;
+  Alcotest.(check (list int64)) "default syscall handler" [ 5L ] (Machine.output b);
+  Machine.set_syscall_handler m (fun m _ -> Machine.set_halted m 0);
+  ignore (Machine.run m);
+  Alcotest.(check int) "template: hook not fired" 0 !fired;
+  ignore (Machine.run a);
+  Alcotest.(check int) "own instance: hook fired" 1 !fired
+
 let test_context_words_roundtrip () =
   let m = Machine.load (Asm.parse ".entry main\n.func main\n  hlt\n.endfunc") in
   Machine.set m (Reg.x 7) 0x77L;
@@ -1075,6 +1149,10 @@ let () =
           Alcotest.test_case "xpaci" `Quick test_xpaci;
           Alcotest.test_case "hooks" `Quick test_hooks;
           Alcotest.test_case "clone independence" `Quick test_clone_independent;
+          Alcotest.test_case "instantiate matches load" `Quick test_instantiate_matches_load;
+          Alcotest.test_case "instantiate rejects a run template" `Quick
+            test_instantiate_rejects_run_template;
+          Alcotest.test_case "instantiate owns its hooks" `Quick test_instantiate_own_hooks;
           Alcotest.test_case "context words" `Quick test_context_words_roundtrip;
           Alcotest.test_case "xzr" `Quick test_xzr_semantics;
         ] );

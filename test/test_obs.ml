@@ -14,6 +14,7 @@ module Scheme = Pacstack_harden.Scheme
 module Ast = Pacstack_minic.Ast
 module B = Pacstack_minic.Build
 module Compile = Pacstack_minic.Compile
+module Plans = Pacstack_report.Plans
 
 let with_obs f =
   Obs.reset ();
@@ -183,6 +184,36 @@ let test_export_worker_count_independent () =
   let one = export 1 in
   Alcotest.(check (list string)) "1-worker vs 4-worker export" one (export 4)
 
+(* --- Fault injection ------------------------------------------------------- *)
+
+let inject_trace workers =
+  with_obs @@ fun () ->
+  let plan = Plans.inject_plan ~pac_bits:12 ~faults:24 ~shards:6 ~seed:3L () in
+  ignore
+    (Plans.inject_totals
+       (Campaign.run ~workers ~progress:(Obs.Campaign_hooks.progress_sink ()) plan));
+  let count prefix =
+    List.fold_left
+      (fun n (name, v) ->
+        match v with
+        | Obs.Metrics.Counter c when String.starts_with ~prefix name -> n + c
+        | _ -> n)
+      0 (Obs.Metrics.snapshot ())
+  in
+  (Obs.Sink.lines (), count "inject.fork{", count "inject.refork{")
+
+(* Every generic-site fault of a default-fuel campaign forks at the
+   trigger its victim's predicted length implies; a refork is a missed
+   prediction. The per-domain victim tables are filled muted, so the
+   whole trace, fork counters included, is the same at any worker
+   count. *)
+let test_inject_forks_and_trace () =
+  let one, forks, reforks = inject_trace 1 in
+  Alcotest.(check bool) "generic sites fork" true (forks > 0);
+  Alcotest.(check int) "no prediction misses" 0 reforks;
+  let four, _, _ = inject_trace 4 in
+  Alcotest.(check (list string)) "1-worker vs 4-worker inject trace" one four
+
 (* --- Machine and toolchain counters --------------------------------------- *)
 
 let sample_program =
@@ -257,6 +288,9 @@ let () =
           Alcotest.test_case "export is worker-count independent" `Quick
             test_export_worker_count_independent
         ] );
+      ( "inject",
+        [ Alcotest.test_case "forks, and trace is worker-count independent" `Quick
+            test_inject_forks_and_trace ] );
       ( "layers",
         [
           Alcotest.test_case "machine counters" `Quick test_machine_counters;
