@@ -416,7 +416,9 @@ let inject_cmd =
     Arg.(
       value & opt int 4
       & info [ "pac-bits" ]
-          ~doc:"PAC width of the simulated machine (default 4, collisions observable).")
+          ~doc:
+            "PAC width of the simulated machine (default 4, collisions observable). The \
+             signal-frame site boots at the default full width whatever this says.")
   in
   let resume =
     Arg.(

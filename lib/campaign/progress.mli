@@ -61,5 +61,3 @@ val formatter : Format.formatter -> sink
 val synchronized : sink -> sink
 (** Serializes calls through a mutex so a sink written for one domain can
     be driven from many. *)
-
-val pp_event : Format.formatter -> event -> unit

@@ -42,13 +42,7 @@ let machine_trace cfg ~scheme ~optimize (p : Ast.program) : Trace.t =
     match cfg.transform with Some f -> f compiled | None -> compiled
   in
   let m = Machine.load compiled in
-  let outcome =
-    match Machine.run ~fuel:cfg.machine_fuel m with
-    | Machine.Halted code -> Trace.Exit code
-    | Machine.Faulted _ -> Trace.Trap
-    | Machine.Out_of_fuel -> Trace.Fuel
-  in
-  { Trace.outcome; output = Machine.output m }
+  Trace.of_machine m (Machine.run ~fuel:cfg.machine_fuel m)
 
 type site = First_output of int | Outcome
 (** Where a divergence first becomes visible: output position [i], or

@@ -50,3 +50,16 @@ let equal_outcome a b =
 
 let equal a b =
   equal_outcome a.outcome b.outcome && List.equal Int64.equal a.output b.output
+
+module Machine = Pacstack_machine.Machine
+
+(* The machine side of the reduction, shared by the fuzz oracle and the
+   fault-injection engine: how the run ended and what it printed. *)
+let of_machine m (outcome : Machine.outcome) =
+  let outcome =
+    match outcome with
+    | Machine.Halted code -> Exit code
+    | Machine.Faulted _ -> Trap
+    | Machine.Out_of_fuel -> Fuel
+  in
+  { outcome; output = Machine.output m }

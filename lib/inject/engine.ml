@@ -15,15 +15,18 @@
      headline metric: corruption that changed the program's behaviour
      and was never caught.
 
-   Every run starts from [Machine.instantiate] of a pristine victim that
-   each domain compiles and loads once per (scheme, pac_bits).  Generic
-   sites pause the machine at a trigger point (a fraction of the
-   reference run's retired instructions, via {!Machine.run_until}), xor
-   a pattern into the chosen slot and resume.  The injected run is a
-   [Machine.clone] of the reference taken at the trigger the victim's
-   predicted length implies; if the reference's real length implies
-   another, a fresh instance runs to the real one instead.  The two
-   structured sites replay the paper's actual attacks:
+   Every run starts from [Machine.instantiate] of a template: for the
+   six generic sites and [Reload_window], the victim's, which each
+   domain compiles and prepares once per (scheme, pac_bits); for
+   [Signal_frame], the signal victim's, prepared once per scheme-fault
+   and instantiated by [Kernel.spawn].  Generic sites pause the machine
+   at a trigger point (a fraction of the reference run's retired
+   instructions, via {!Machine.run_until}), xor a pattern into the
+   chosen slot and resume.  The injected run is a [Machine.clone] of the
+   reference taken at the trigger the victim's predicted length
+   implies; if the reference's real length implies another, a fresh
+   instance runs to the real one instead.  The two structured sites
+   replay the paper's actual attacks:
 
    - [Reload_window] mounts the §6.1 reuse attack inside the §5.2
      store-to-reload window.  A hook at full call depth harvests every
@@ -38,12 +41,15 @@
      §6.1); under the masked variant the spills are masked and the pick
      is blind, succeeding with probability 2^-b — the Appendix A
      argument, mirrored from [Pacstack_harden.Surface.observable].
-   - [Signal_frame] boots the victim under the kernel personality,
-     delivers a signal at the trigger point and flips bits in the saved
-     PC inside the user-visible signal frame.  Under [Sig_chained]
-     (PACStack's Appendix B) the forged frame is killed at sigreturn
-     with exit 139; mainline-Linux-style unprotected frames resume
-     wherever the corrupt PC points.
+   - [Signal_frame] spawns the signal victim under the kernel
+     personality, delivers a signal at the trigger point and flips bits
+     in the saved PC inside the user-visible signal frame.  Its template
+     is prepared under [Config.default], as the kernel prepares a
+     booted program, so this site runs at full PAC width whatever
+     [pac_bits] says.  Under [Sig_chained] (PACStack's Appendix B) the
+     forged frame is killed at sigreturn with exit 139;
+     mainline-Linux-style unprotected frames resume wherever the
+     corrupt PC points.
 
    Determinism: everything derives from (campaign seed, fault index)
    through {!Fault}; machine keys come from the fault's private runtime
@@ -110,15 +116,6 @@ type result = { spec : Fault.spec; scheme : Scheme.t; classification : classific
 
 let machine_cfg cfg = Config.make ~pac_bits:cfg.pac_bits ()
 
-let trace_of m (outcome : Machine.outcome) =
-  let o =
-    match outcome with
-    | Machine.Halted c -> Trace.Exit c
-    | Machine.Faulted _ -> Trace.Trap
-    | Machine.Out_of_fuel -> Trace.Fuel
-  in
-  { Trace.outcome = o; output = Machine.output m }
-
 (* The runtime aborts detection turns into exit codes; both victims
    return [s land 63], so 134/139 are unambiguous here. *)
 let classify ~ref_trace ~injected_cycles m (outcome : Machine.outcome) =
@@ -128,7 +125,7 @@ let classify ~ref_trace ~injected_cycles m (outcome : Machine.outcome) =
   | Machine.Halted 134 -> Detected { cause = "canary-abort"; latency = latency () }
   | Machine.Halted 139 -> Detected { cause = "sigreturn-kill"; latency = latency () }
   | Machine.Halted _ | Machine.Out_of_fuel ->
-    if Trace.equal ref_trace (trace_of m outcome) then Benign else Silent
+    if Trace.equal ref_trace (Trace.of_machine m outcome) then Benign else Silent
 
 (* ------------------------------------------------------------------ *)
 (* Generic sites: pause at the trigger, xor, resume                    *)
@@ -192,18 +189,22 @@ let obs_count name scheme =
 (* ------------------------------------------------------------------ *)
 (* Per-domain victim table                                             *)
 
-(* The victim never changes, so each domain compiles and loads it once
-   per (scheme, pac_bits) and every run starts from
-   [Machine.instantiate] of that pristine machine.  Schemes that compile
-   both victims to the same code (keyed by a digest of the compiled
-   programs) share one entry: the table is live for the whole campaign,
-   and the GC sizes the heap to a multiple of what stays live.
-   [predicted] is the retired-instruction count of one run under fixed
-   keys: the generic sites fork at the trigger it implies.  Building it
-   with the entry, not from the first fault a domain happens to run,
-   makes the fork or refork decision a pure function of the fault.  The
-   build is muted: how often it happens depends on the worker count. *)
-type victim = { pristine : Machine.t; predicted : int; signal : Program.t }
+(* The victims never change, so each domain compiles them once per
+   (scheme, pac_bits) and prepares the workhorse victim's template, from
+   which every generic and reload-window run is instantiated.  Schemes
+   that compile both victims to the same code (keyed by a digest of the
+   compiled programs) share one entry: the table is live for the whole
+   campaign, and the GC sizes the heap to a multiple of what stays live.
+   That is why [signal] is the compiled signal victim, not its template:
+   [run_one] prepares it once per scheme-fault, and keeping seven
+   prepared signal templates live instead raised the inject benchmark's
+   peak RSS by 18% (DESIGN.md, "Keeping the table lean").  [predicted]
+   is the retired-instruction count of one run under fixed keys: the
+   generic sites fork at the trigger it implies.  Building it with the
+   entry, not from the first fault a domain happens to run, makes the
+   fork or refork decision a pure function of the fault.  The build is
+   muted: how often it happens depends on the worker count. *)
+type victim = { template : Machine.template; predicted : int; signal : Program.t }
 
 type table = {
   by_scheme : (string * int, victim) Hashtbl.t;
@@ -223,10 +224,10 @@ let build_victim table cfg scheme =
   match Hashtbl.find_opt table.by_code code with
   | Some v -> v
   | None ->
-    let pristine = Machine.load ~cfg:(machine_cfg cfg) program in
-    let probe = Machine.instantiate ~rng:(Rng.create prediction_seed) pristine in
+    let template = Machine.prepare ~cfg:(machine_cfg cfg) program in
+    let probe = Machine.instantiate ~rng:(Rng.create prediction_seed) template in
     ignore (Machine.run probe);
-    let v = { pristine; predicted = max 1 (Machine.instructions_retired probe); signal } in
+    let v = { template; predicted = max 1 (Machine.instructions_retired probe); signal } in
     Hashtbl.add table.by_code code v;
     v
 
@@ -243,7 +244,7 @@ let victim cfg scheme =
 (* Reference and injected runs draw keys from copies of the same
    stream, so they run under identical keys. *)
 let instance scheme v keys_rng =
-  let m = Machine.instantiate ~rng:(Rng.copy keys_rng) v.pristine in
+  let m = Machine.instantiate ~rng:(Rng.copy keys_rng) v.template in
   obs_label scheme m;
   m
 
@@ -268,7 +269,7 @@ let run_generic cfg (spec : Fault.spec) scheme v keys_rng =
       let fork = Machine.clone m in
       (Some fork, Machine.run ~fuel:(cfg.fuel - Machine.instructions_retired m) m)
   in
-  let ref_trace = trace_of m outcome in
+  let ref_trace = Trace.of_machine m outcome in
   let trigger = trigger_at spec (max 1 (Machine.instructions_retired m)) in
   let inject m =
     let at = Machine.cycles m in
@@ -343,7 +344,7 @@ let blind_pair (spec : Fault.spec) =
 
 let run_window cfg (spec : Fault.spec) scheme ~fresh =
   let r = fresh () in
-  let ref_trace = trace_of r (Machine.run ~fuel:cfg.fuel r) in
+  let ref_trace = Trace.of_machine r (Machine.run ~fuel:cfg.fuel r) in
   let m = fresh () in
   let paths = Victim.paths in
   let handles = Array.make paths 0L in
@@ -399,18 +400,18 @@ let signal_policy scheme =
    (X0..X30, SP, PC, flags). *)
 let saved_pc_index = 32
 
-let run_signal cfg (spec : Fault.spec) scheme compiled keys_rng =
+let run_signal cfg (spec : Fault.spec) scheme keys_rng ~boot =
   let policy = signal_policy scheme in
-  let boot rng =
-    let k = Kernel.create ~signal_policy:policy rng in
-    let p = Kernel.boot k compiled in
+  let fresh () =
+    let k = Kernel.create ~signal_policy:policy (Rng.copy keys_rng) in
+    let p = boot k in
     let m = Kernel.machine p in
     obs_label scheme m;
     (k, p, m)
   in
   (* size the trigger off a delivery-free run, so reference and injected
      runs both deliver at the same retired-instruction point *)
-  let _, _, base_m = boot (Rng.copy keys_rng) in
+  let _, _, base_m = fresh () in
   ignore (Machine.run ~fuel:cfg.fuel base_m);
   let trigger = trigger_at spec (max 1 (Machine.instructions_retired base_m)) in
   (* keep the corruption inside the code segment: flip only low,
@@ -421,11 +422,11 @@ let run_signal cfg (spec : Fault.spec) scheme compiled keys_rng =
     if Int64.equal f 0L then 4L else f
   in
   let run ~corrupt =
-    let k, p, m = boot (Rng.copy keys_rng) in
+    let k, p, m = fresh () in
     match
       Machine.run_until ~fuel:cfg.fuel m ~stop:(at_trigger trigger)
     with
-    | Some outcome -> (trace_of m outcome, Machine.cycles m, m, outcome)
+    | Some outcome -> (Trace.of_machine m outcome, Machine.cycles m, m, outcome)
     | None ->
       Kernel.deliver_signal k p ~handler:Victim.handler_name ~signum:14;
       let at = Machine.cycles m in
@@ -439,7 +440,7 @@ let run_signal cfg (spec : Fault.spec) scheme compiled keys_rng =
           Memory.store64 (Machine.memory m) addr (Int64.logxor v pc_flip)
       end;
       let outcome = Machine.run ~fuel:cfg.fuel m in
-      (trace_of m outcome, at, m, outcome)
+      (Trace.of_machine m outcome, at, m, outcome)
   in
   let ref_trace, _, _, _ = run ~corrupt:false in
   let _, at, m, outcome = run ~corrupt:true in
@@ -451,7 +452,11 @@ let run_signal cfg (spec : Fault.spec) scheme compiled keys_rng =
 let run_one cfg (spec : Fault.spec) scheme keys_rng =
   let v = victim cfg scheme in
   match spec.site with
-  | Fault.Signal_frame -> run_signal cfg spec scheme v.signal keys_rng
+  | Fault.Signal_frame ->
+    (* [Config.default], as the kernel prepares a booted program: this
+       site runs at full PAC width whatever [pac_bits] says *)
+    let signal = Machine.prepare v.signal in
+    run_signal cfg spec scheme keys_rng ~boot:(fun k -> Kernel.spawn k signal)
   | Fault.Reload_window ->
     run_window cfg spec scheme ~fresh:(fun () -> instance scheme v keys_rng)
   | Fault.Ret_slot | Fault.Chain_spill | Fault.Cr_reg | Fault.Lr_reg | Fault.Shadow_slot

@@ -56,10 +56,7 @@ val run_fault : config -> campaign_seed:int64 -> int -> result list
     The pieces {!run_fault} builds each site's run from. Exposed so a
     different way of making the machines (the tests' compile-and-load
     oracle) classifies with exactly the same corruption and verdict
-    logic. *)
-
-val trace_of : Machine.t -> Machine.outcome -> Pacstack_fuzz.Trace.t
-(** The run's observable behaviour: how it ended and what it printed. *)
+    logic. The run's trace is {!Pacstack_fuzz.Trace.of_machine}. *)
 
 val classify :
   ref_trace:Pacstack_fuzz.Trace.t ->
@@ -86,11 +83,17 @@ val run_signal :
   config ->
   Fault.spec ->
   Scheme.t ->
-  Pacstack_isa.Program.t ->
   Pacstack_util.Rng.t ->
+  boot:(Pacstack_machine.Kernel.t -> Pacstack_machine.Kernel.proc) ->
   classification
-(** The [Signal_frame] replay of the compiled {!Victim.signal_program},
-    booted under the kernel from copies of the fault's key stream. *)
+(** The [Signal_frame] replay: a delivery-free sizing run, a reference
+    run and the corrupted run, each in a fresh kernel (the scheme's
+    signal policy, a copy of the given key stream) into which [boot]
+    starts {!Victim.signal_program} compiled under the scheme. [boot]
+    must start identical processes: {!run_fault} spawns one template,
+    prepared per scheme-fault under [Config.default] as the kernel
+    prepares a booted program, so this site runs at full PAC width
+    whatever [config.pac_bits] says. *)
 
 (** {1 Mergeable campaign statistics}
 

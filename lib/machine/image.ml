@@ -3,12 +3,6 @@ module Program = Pacstack_isa.Program
 module Instr = Pacstack_isa.Instr
 module Encode = Pacstack_isa.Encode
 
-(* Open slot for engine-compiled artifacts derived from this image (the
-   machine's threaded-code ops array). An extensible variant keeps the
-   dependency arrow pointing the right way: Machine extends [cache],
-   Image never learns what it stores. *)
-type cache = ..
-
 (* Only what execution needs: the program's function bodies live on in
    [code] and the symbol tables, its binary encoding is rebuilt on
    demand ([encoded]), so a loaded image kept alive for reuse stays
@@ -22,7 +16,6 @@ type t = {
   bounds : (string * Word64.t * Word64.t) list;    (* name, first, past-last *)
   entries : (Word64.t, unit) Hashtbl.t;            (* function entry points *)
   fetch_trap : exn;      (* preformatted out-of-image trap, raised as-is *)
-  mutable cache : cache option;
 }
 
 let code_base = 0x0000_0001_0000L
@@ -92,7 +85,7 @@ let build (p : Program.t) =
   in
   {
     entry_name = p.entry; data; code; globals; locals;
-    bounds = List.rev !bounds; entries; fetch_trap; cache = None;
+    bounds = List.rev !bounds; entries; fetch_trap;
   }
 
 let data t = t.data
@@ -118,8 +111,6 @@ let fetch_exn t addr =
   else Array.unsafe_get t.code (Int64.to_int off lsr 2)
 
 let instructions t = t.code
-let cache t = t.cache
-let set_cache t c = t.cache <- Some c
 
 let symbol t name = Hashtbl.find_opt t.globals name
 

@@ -35,14 +35,6 @@ val instructions : t -> Pacstack_isa.Instr.t array
     Callers must not mutate it — it is the image's single source of
     truth for {!fetch}/{!fetch_exn}. *)
 
-type cache = ..
-(** Slot for engine-compiled artifacts derived from this (immutable)
-    image — the machine's threaded-code ops array. Extensible so the
-    machine layer can define the payload without a dependency cycle. *)
-
-val cache : t -> cache option
-val set_cache : t -> cache -> unit
-
 val symbol : t -> string -> Pacstack_util.Word64.t option
 (** Address of a global symbol (function or data object). *)
 

@@ -147,16 +147,18 @@ let register t machine ~parent =
   t.procs <- p :: t.procs;
   p
 
-let boot t program =
+(* Fresh process keys, then the canary's generator, from the kernel's
+   stream: every new process image draws in this order. *)
+let instance t template =
   let keys = Keys.generate ~fast:t.fast_keys t.rng in
-  let machine = Machine.load ~keys ~rng:(Rng.split t.rng) program in
-  register t machine ~parent:None
+  Machine.instantiate ~keys ~rng:(Rng.split t.rng) template
 
+let spawn t template = register t (instance t template) ~parent:None
+let boot t program = spawn t (Machine.prepare program)
 let adopt t machine = register t machine ~parent:None
 
 let exec t p program =
-  let keys = Keys.generate ~fast:t.fast_keys t.rng in
-  let machine = Machine.load ~keys ~rng:(Rng.split t.rng) program in
+  let machine = instance t (Machine.prepare program) in
   Machine.set_syscall_handler machine (fun m n -> handler t p m n);
   p.m <- machine;
   p.sig_ref <- 0L;

@@ -37,9 +37,12 @@ val create :
 (** [fast_keys] (default true) selects the mixer-backed PRF for generated
     key sets. *)
 
+val spawn : t -> Machine.template -> proc
+(** Instantiates the template with fresh PA keys (then the canary) drawn
+    from the kernel's generator, and registers it as a process. *)
+
 val boot : t -> Pacstack_isa.Program.t -> proc
-(** Loads the program into a fresh machine with fresh PA keys and
-    registers it as a process. *)
+(** [spawn] of the program prepared under {!Pacstack_pa.Config.default}. *)
 
 val adopt : t -> Machine.t -> proc
 (** Registers an existing machine as a process (its syscall handler is
@@ -54,7 +57,7 @@ val children : t -> proc -> proc list
 
 val exec : t -> proc -> Pacstack_isa.Program.t -> unit
 (** Replaces the process image and — as Linux does — generates a fresh PA
-    key set. *)
+    key set, drawn as {!spawn} draws it. *)
 
 val deliver_signal : t -> proc -> handler:string -> signum:int -> unit
 (** Suspends the process, pushes the signal frame onto the user stack and

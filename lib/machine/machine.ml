@@ -23,7 +23,7 @@ type t = {
   cfg : Config.t;
   mem : Memory.t;
   image : Image.t;
-  mutable keys : Keys.t;
+  keys : Keys.t;
   regs : Bytes.t;  (* X0..X30, SP, PC — see the layout note above *)
   mutable flags_bits : int;  (* packed NZCV, Cond.bits_* layout *)
   mutable halted : int option;
@@ -53,13 +53,24 @@ type t = {
      for straight-line code and static branches) or -1 when the
      dispatcher must re-derive it from pc — so the hot loop chains
      compiled ops directly instead of re-validating pc every step.
-     [fast_ok] certifies at load time that every in-image address is
+     [fast_ok] certifies at construction that every in-image address is
      canonical for [cfg], so the fast path may skip [translate]. *)
   ops : (t -> int) array;
   code_limit : Word64.t;  (* 4 * instruction count *)
   fast_ok : bool;
   xpages : Bytes.t;       (* '\001' per executable code page *)
   mutable xcache_gen : int;
+}
+
+(* What [prepare] builds once per program and every instance shares.
+   [layout] is the program's memory as laid out, never run: code written
+   and sealed rx, data, stack and shadow regions mapped, canary still
+   zero. [instantiate] copies it; [load] runs on it directly. *)
+and template = {
+  cfg : Config.t;
+  image : Image.t;
+  layout : Memory.t;
+  ops : (t -> int) array;
 }
 
 let get t = function
@@ -90,12 +101,10 @@ let default_syscall m n =
 
 let config t = t.cfg
 let keys t = t.keys
-let set_keys t k = t.keys <- k
 let memory t = t.mem
 let image t = t.image
 
 let flags t = Cond.flags_of_bits t.flags_bits
-let set_flags t f = t.flags_bits <- Cond.bits_of_flags f
 let cycles t = t.cycles
 let instructions_retired t = t.instret
 let memory_operations t = t.mem_ops
@@ -704,19 +713,6 @@ let compile_op image nops idx instr : t -> int =
       | None -> ());
       -1
 
-(* The compiled ops array lives on the image (compiled once, shared by
-   every machine and clone running that image). *)
-type Image.cache += Compiled_ops of (t -> int) array
-
-let ops_of_image image =
-  match Image.cache image with
-  | Some (Compiled_ops ops) -> ops
-  | _ ->
-    let code = Image.instructions image in
-    let ops = Array.mapi (compile_op image (Array.length code)) code in
-    Image.set_cache image (Compiled_ops ops);
-    ops
-
 (* --- threaded step ---------------------------------------------------- *)
 
 (* [xcache_gen] sentinel: [Memory.generation] restarts at 0 after a
@@ -877,32 +873,20 @@ end
 
 (* --- construction ----------------------------------------------------- *)
 
-(* Keys first, then the canary: [load] and [instantiate] draw from the
-   generator in this order, so the same seed gives the same machine. *)
-let draw_keys ?keys rng =
-  let rng = match rng with Some r -> r | None -> Rng.create 0x9ac57ac4L in
-  (rng, match keys with Some k -> k | None -> Keys.generate ~fast:true rng)
-
-let seed_canary t rng =
-  match Image.symbol t.image canary_symbol with
-  | Some a -> Memory.store64 t.mem a (Rng.next64 rng)
-  | None -> ()
-
-let load ?(cfg = Config.default) ?keys ?rng program =
-  let rng, keys = draw_keys ?keys rng in
+let prepare ?(cfg = Config.default) program =
   let image = Image.build program in
-  let mem = Memory.create () in
+  let layout = Memory.create () in
   let code_bytes = max Memory.page_size (Image.code_size image) in
   (* write the binary encoding into the code pages, then seal them rx: the
      code bytes an adversary can disclose are real, and W^X is enforced
      from the first fetch *)
-  Memory.map mem ~addr:Image.code_base ~size:code_bytes Memory.perm_rw;
+  Memory.map layout ~addr:Image.code_base ~size:code_bytes Memory.perm_rw;
   let words, _pools = Image.encoded image in
   Array.iteri
     (fun i w ->
-      Memory.store32 mem (Int64.add Image.code_base (Int64.of_int (4 * i))) w)
+      Memory.store32 layout (Int64.add Image.code_base (Int64.of_int (4 * i))) w)
     words;
-  Memory.protect mem ~addr:Image.code_base ~size:code_bytes Memory.perm_rx;
+  Memory.protect layout ~addr:Image.code_base ~size:code_bytes Memory.perm_rx;
   (* one rw data region covering all objects (the image appends the canary
      guard object when the program does not declare one) *)
   let data_bytes =
@@ -910,27 +894,37 @@ let load ?(cfg = Config.default) ?keys ?rng program =
       (fun acc (d : Pacstack_isa.Program.data) -> acc + ((d.size + 15) land lnot 15))
       16 (Image.data image)
   in
-  Memory.map mem ~addr:Image.data_base ~size:(max Memory.page_size data_bytes) Memory.perm_rw;
-  Memory.map mem
+  Memory.map layout ~addr:Image.data_base ~size:(max Memory.page_size data_bytes) Memory.perm_rw;
+  Memory.map layout
     ~addr:(Int64.sub Image.stack_top (Int64.of_int Image.stack_size))
     ~size:Image.stack_size Memory.perm_rw;
-  Memory.map mem ~addr:Image.shadow_base ~size:Image.shadow_size Memory.perm_rw;
-  let code_limit = Int64.of_int (4 * Array.length (Image.instructions image)) in
+  Memory.map layout ~addr:Image.shadow_base ~size:Image.shadow_size Memory.perm_rw;
+  let code = Image.instructions image in
+  { cfg; image; layout; ops = Array.mapi (compile_op image (Array.length code)) code }
+
+(* The one constructor of a fresh machine: [mem] is a layout of [tpl]
+   nothing else will touch. Keys first, then the canary, from one
+   generator, so the same seed gives the same machine whichever way it
+   was made. *)
+let make (tpl : template) mem keys rng =
+  let rng = match rng with Some r -> r | None -> Rng.create 0x9ac57ac4L in
+  let keys = match keys with Some k -> k | None -> Keys.generate ~fast:true rng in
+  let code_limit = Int64.of_int (Image.code_size tpl.image) in
   (* [Pointer.is_canonical] is monotone (p >> va_size = 0), so the last
      in-image address being canonical certifies the whole range; an empty
      image never takes the fast path, the flag is then irrelevant. *)
   let fast_ok =
     code_limit > 0L
-    && Pointer.is_canonical cfg (Int64.add Image.code_base (Int64.sub code_limit 1L))
+    && Pointer.is_canonical tpl.cfg (Int64.add Image.code_base (Int64.sub code_limit 1L))
   in
   let xpage_count =
     max 1 ((Int64.to_int code_limit + Memory.page_size - 1) / Memory.page_size)
   in
   let t =
     {
-      cfg;
+      cfg = tpl.cfg;
       mem;
-      image;
+      image = tpl.image;
       keys;
       regs = Bytes.make regs_bytes '\000';
       flags_bits = 0;
@@ -949,19 +943,27 @@ let load ?(cfg = Config.default) ?keys ?rng program =
       obs_mark_memops = 0;
       obs_mark_dmiss = 0;
       obs_mark_xmiss = 0;
-      ops = ops_of_image image;
+      ops = tpl.ops;
       code_limit;
       fast_ok;
       xpages = Bytes.make xpage_count '\000';
       xcache_gen = stale_gen;
     }
   in
-  seed_canary t rng;
+  (match Image.symbol tpl.image canary_symbol with
+  | Some a -> Memory.store64 mem a (Rng.next64 rng)
+  | None -> ());
   set t Reg.SP Image.stack_top;
-  set_pc t (Image.entry image);
-  set t Reg.lr (Image.halt_addr image);
+  set_pc t (Image.entry tpl.image);
+  set t Reg.lr (Image.halt_addr tpl.image);
   set t Reg.shadow Image.shadow_base;
   t
+
+let instantiate ?keys ?rng tpl = make tpl (Memory.copy tpl.layout) keys rng
+
+let load ?cfg ?keys ?rng program =
+  let tpl = prepare ?cfg program in
+  make tpl tpl.layout keys rng
 
 let clone t =
   {
@@ -979,37 +981,6 @@ let clone t =
     xpages = Bytes.copy t.xpages;
     xcache_gen = stale_gen;
   }
-
-let instantiate ?keys ?rng t =
-  if t.instret <> 0 || t.cycles <> 0 then invalid_arg "Machine.instantiate: the template has already run";
-  let rng, keys = draw_keys ?keys rng in
-  let m =
-    {
-      t with
-      mem = Memory.copy t.mem;
-      keys;
-      regs = Bytes.copy t.regs;
-      halted = None;
-      forward_cfi = true;
-      tracer = None;
-      hooks = Hashtbl.create 4;
-      on_syscall = default_syscall;
-      out = [];
-      obs_label = "";
-      obs_pac = Array.make (Array.length t.obs_pac) 0;
-      obs_mark_dmiss = 0;
-      obs_mark_xmiss = 0;
-      xpages = Bytes.make (Bytes.length t.xpages) '\000';
-      xcache_gen = stale_gen;
-    }
-  in
-  seed_canary m rng;
-  m
-
-let pp_state fmt t =
-  Format.fprintf fmt "pc=%a sp=%a lr=%a cr=%a x0=%a cycles=%d" Word64.pp (pc t) Word64.pp
-    (sp t) Word64.pp (get t Reg.lr) Word64.pp (get t Reg.cr) Word64.pp (get t (Reg.X 0))
-    t.cycles
 
 (* --- contexts -------------------------------------------------------- *)
 

@@ -6,35 +6,45 @@
 
 type t
 
-(** {1 Construction} *)
+(** {1 Construction}
+
+    Every machine is an instance of a {!template}: [prepare] does the
+    per-program work once, [instantiate] makes a fresh machine from it
+    per run, and [load] is the two for a single run. *)
+
+type template
+(** A program prepared to run under one config: its image, its memory
+    laid out (code written and sealed rx; data, stack and shadow regions
+    mapped) and its threaded ops. Immutable: it is never run, and no
+    instance's run changes it, so one template may serve any number of
+    instances. *)
+
+val prepare : ?cfg:Pacstack_pa.Config.t -> Pacstack_isa.Program.t -> template
+(** Builds the image (appending the runtime stubs and the canary guard
+    object), lays out memory and compiles the threaded ops. [cfg]
+    defaults to {!Pacstack_pa.Config.default}. Draws no randomness. *)
+
+val instantiate :
+  ?keys:Pacstack_pa.Keys.t -> ?rng:Pacstack_util.Rng.t -> template -> t
+(** A fresh machine on a copy of the template's memory. [keys] defaults
+    to a set drawn from [rng] (itself defaulting to a fixed-seed
+    generator); the stack-canary global is seeded from [rng] next. SP
+    points at the stack top, X18 at the shadow stack base, LR at
+    [__halt] and PC at the entry symbol. The instance has its own,
+    empty hook table, the default syscall handler (exit and debug
+    print), forward-edge CFI on, no tracer and no obs label. The image
+    and the threaded ops are shared with the template, which is what
+    makes this cheaper than {!load}. *)
 
 val load :
   ?cfg:Pacstack_pa.Config.t ->
   ?keys:Pacstack_pa.Keys.t ->
   ?rng:Pacstack_util.Rng.t ->
   Pacstack_isa.Program.t -> t
-(** Builds the image, maps code (rx), data (rw), stack (rw) and the shadow
-    stack region (rw), seeds the stack-canary global, points SP at the
-    stack top, X18 at the shadow stack base, LR at [__halt], and PC at the
-    entry symbol. [keys] defaults to a fresh set drawn from [rng]
-    (defaulting to a fixed-seed generator). *)
-
-val instantiate :
-  ?keys:Pacstack_pa.Keys.t -> ?rng:Pacstack_util.Rng.t -> t -> t
-(** [instantiate template] is a fresh machine equal to [load] of the
-    template's program under the template's config: memory and
-    registers are copied, [keys] defaults to a set drawn from [rng]
-    (defaulting to [load]'s fixed-seed generator), and the canary is
-    drawn next, in [load]'s order, so the same [keys]/[rng] give the
-    same machine bit for bit. The image and its threaded ops are
-    shared, which is what makes this cheaper than [load]: load a
-    program once, then instantiate it per run.
-
-    Unlike {!clone}, the instance gets its own, empty hook table, the
-    default syscall handler, no tracer and no obs label: a hook
-    attached to one instance never fires in the template or in a
-    sibling. Raises [Invalid_argument] if the template has already
-    run. *)
+(** [instantiate ?keys ?rng (prepare ?cfg program)] without the memory
+    copy: the machine runs on the memory [prepare] laid out. For a
+    program that runs once; the same [cfg]/[keys]/[rng] give the same
+    machine bit for bit as the template path. *)
 
 val clone : t -> t
 (** Deep copy: memory, registers and keys (used by [fork]). Hooks and the
@@ -44,7 +54,6 @@ val clone : t -> t
 
 val config : t -> Pacstack_pa.Config.t
 val keys : t -> Pacstack_pa.Keys.t
-val set_keys : t -> Pacstack_pa.Keys.t -> unit
 val memory : t -> Memory.t
 val image : t -> Image.t
 
@@ -57,7 +66,6 @@ val set : t -> Pacstack_isa.Reg.t -> Pacstack_util.Word64.t -> unit
 val pc : t -> Pacstack_util.Word64.t
 val set_pc : t -> Pacstack_util.Word64.t -> unit
 val flags : t -> Pacstack_isa.Cond.flags
-val set_flags : t -> Pacstack_isa.Cond.flags -> unit
 
 val cycles : t -> int
 val instructions_retired : t -> int
@@ -154,9 +162,6 @@ module Reference : sig
   val run : ?fuel:int -> t -> outcome
   val run_until : ?fuel:int -> t -> stop:(t -> bool) -> outcome option
 end
-
-val pp_state : Format.formatter -> t -> unit
-(** One-line register dump for diagnostics. *)
 
 (** {1 Context save/restore (used by the kernel)} *)
 

@@ -75,9 +75,6 @@ val calls_in_body : stmt list -> bool
 
 val has_arrays : fdef -> bool
 
-val stmt_size : stmt -> int
-(** Number of statement nodes in [s], counting nested bodies. *)
-
 val body_size : stmt list -> int
 
 val program_size : program -> int

@@ -122,14 +122,10 @@ end
     per trace event. *)
 
 module Sink : sig
-  val metric_json : string * Metrics.value -> Json.t
-  val event_json : Trace.event -> Json.t
-
   val lines : unit -> string list
   (** Header, metrics (name order), then events (merge order). Every
       line parses back with {!Json.parse}. *)
 
-  val write_channel : out_channel -> unit
   val write_file : string -> unit
 end
 

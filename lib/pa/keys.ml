@@ -11,8 +11,6 @@ let which_to_string = function
   | DB -> "APDBKey"
   | GA -> "APGAKey"
 
-let pp_which fmt w = Format.pp_print_string fmt (which_to_string w)
-
 type t = { ia : Prf.t; ib : Prf.t; da : Prf.t; db : Prf.t; ga : Prf.t }
 
 let generate ?fast ?rounds rng =

@@ -7,7 +7,6 @@ type which = IA | IB | DA | DB | GA
 
 val all : which list
 val which_to_string : which -> string
-val pp_which : Format.formatter -> which -> unit
 
 type t
 

@@ -12,6 +12,8 @@ module Machine = Pacstack_machine.Machine
 module Memory = Pacstack_machine.Memory
 module Image = Pacstack_machine.Image
 module Trap = Pacstack_machine.Trap
+module Kernel = Pacstack_machine.Kernel
+module Trace = Pacstack_fuzz.Trace
 module Compile = Pacstack_minic.Compile
 module Fault = Pacstack_inject.Fault
 module Victim = Pacstack_inject.Victim
@@ -114,13 +116,20 @@ let test_window_silent_without_authentication () =
     (Engine.run_fault cfg ~campaign_seed:seed idx)
 
 (* Signal-frame forgery: killed by the Appendix B chain under PACStack,
-   never detected as such under an unprotected kernel. *)
+   never detected as such under an unprotected kernel. The site runs at
+   the default full PAC width whatever [pac_bits] (4 here) says. *)
 let test_signal_frame_chained_vs_unprotected () =
   let seed = 42L in
   let idx = first_site_index ~campaign_seed:seed Fault.Signal_frame in
   let cfg =
     { Engine.default_config with Engine.schemes = [ Scheme.unprotected; Scheme.pacstack ] }
   in
+  let widths = ref [] in
+  let tamper m = widths := (Machine.config m).Config.pac_bits :: !widths in
+  ignore (Engine.run_fault { cfg with Engine.tamper = Some tamper } ~campaign_seed:seed idx);
+  Alcotest.(check (list int)) "signal frame at full PAC width"
+    [ Config.default.Config.pac_bits; Config.default.Config.pac_bits ]
+    !widths;
   match Engine.run_fault cfg ~campaign_seed:seed idx with
   | [ unprotected; pacstack ] ->
     Alcotest.(check bool) "unprotected kernel never reports sigreturn-kill" true
@@ -222,16 +231,17 @@ let test_shadow_corruption_traps () =
 
 (* --- differential oracle: compile and load for every run ------------------ *)
 
-(* The straightforward pipeline: compile the victim for every fault and
-   scheme, [Machine.load] it for every run, and run the injected machine
-   from the start to the trigger the reference's length implies.
-   [Engine.run_fault] (pristine victim, [Machine.instantiate], fork at
-   the predicted trigger) must classify exactly as this does, causes and
-   latencies included. *)
+(* The straightforward pipeline: compile the victims for every fault and
+   scheme, [Machine.load] (or, for the signal-frame site, [Kernel.boot])
+   them for every run, and run the injected machine from the start to
+   the trigger the reference's length implies.  [Engine.run_fault]
+   (per-domain templates, [Machine.instantiate] and [Kernel.spawn], fork
+   at the predicted trigger) must classify exactly as this does, causes
+   and latencies included, at all eight sites. *)
 module Oracle = struct
   let run_generic (cfg : Engine.config) (spec : Fault.spec) scheme fresh =
     let r = fresh () in
-    let ref_trace = Engine.trace_of r (Machine.run ~fuel:cfg.Engine.fuel r) in
+    let ref_trace = Trace.of_machine r (Machine.run ~fuel:cfg.Engine.fuel r) in
     let total = max 1 (Machine.instructions_retired r) in
     let trigger = max 1 (int_of_float (spec.Fault.trigger *. float_of_int total)) in
     let m = fresh () in
@@ -256,9 +266,8 @@ module Oracle = struct
         let classification =
           match spec.Fault.site with
           | Fault.Signal_frame ->
-            Engine.run_signal cfg spec scheme
-              (Compile.compile ~scheme (Victim.signal_program ()))
-              (Rng.copy keys_rng)
+            let compiled = Compile.compile ~scheme (Victim.signal_program ()) in
+            Engine.run_signal cfg spec scheme keys_rng ~boot:(fun k -> Kernel.boot k compiled)
           | Fault.Reload_window -> Engine.run_window cfg spec scheme ~fresh
           | _ -> run_generic cfg spec scheme fresh
         in
