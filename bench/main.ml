@@ -392,11 +392,13 @@ type alloc_residuals = {
 let alloc_residuals () =
   Format.printf "@.measuring threaded-engine allocation residuals...@.";
   let words_per_step p =
-    (* warm load caches, then measure the steady-state run only *)
-    let m = Machine.load p in
+    (* a first instance compiles the template's ops on first execution;
+       a second one then measures the steady-state step loop only *)
+    let tpl = Machine.prepare p in
+    let m = Machine.instantiate tpl in
     ignore (Machine.run ~fuel:10_000_000 m);
     let steps = Machine.instructions_retired m in
-    let m2 = Machine.load p in
+    let m2 = Machine.instantiate tpl in
     let w0 = Gc.minor_words () in
     ignore (Machine.run ~fuel:10_000_000 m2);
     (Gc.minor_words () -. w0) /. float_of_int steps

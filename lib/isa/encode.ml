@@ -122,13 +122,15 @@ let const_id bld v =
 let sym_id bld v =
   intern bld.sym_ids (fun () -> bld.syms <- v :: bld.syms) (fun () -> Hashtbl.length bld.sym_ids) v
 
+(* A word is built as an unboxed [int] in [0, 2^32); callers convert at
+   the point of storage, where [Int32.of_int] costs no box. *)
 let word ~op ~a ~b ~c ~d =
   if op < 0 || op >= 1 lsl op_bits then invalid_arg "Encode.word: op";
   assert (a >= 0 && a < 1 lsl reg_bits);
   assert (b >= 0 && b < 1 lsl reg_bits);
   assert (c >= 0 && c < 64);
   assert (d >= 0 && d < 256);
-  Int32.of_int ((op lsl 26) lor (a lsl 20) lor (b lsl 14) lor (c lsl 8) lor d)
+  (op lsl 26) lor (a lsl 20) lor (b lsl 14) lor (c lsl 8) lor d
 
 let word_idx ~op ~a ~b ~idx =
   if idx < 0 || idx >= pool_limit then raise (Unencodable "pool index");
@@ -202,16 +204,35 @@ let encode_one bld instr =
   | Instr.Hlt -> word ~op:op_hlt ~a:0 ~b:0 ~c:0 ~d:0
   | Instr.Hook l -> word_idx ~op:op_hook ~a:0 ~b:0 ~idx:(sym_id bld l)
 
+let builder () =
+  { consts = []; const_ids = Hashtbl.create 32; syms = []; sym_ids = Hashtbl.create 32 }
+
 let encode instrs =
-  let bld =
-    { consts = []; const_ids = Hashtbl.create 32; syms = []; sym_ids = Hashtbl.create 32 }
-  in
-  let words = Array.of_list (List.map (encode_one bld) instrs) in
+  let bld = builder () in
+  let words = Array.of_list (List.map (fun i -> Int32.of_int (encode_one bld i)) instrs) in
   ( words,
     {
       constants = Array.of_list (List.rev bld.consts);
       symbols = Array.of_list (List.rev bld.syms);
     } )
+
+(* The loader's writer: the words [encode] would return, in the same
+   order (pool indices depend on it), stored little-endian straight into
+   the page buffers that become the code pages — no word list, no boxed
+   [int32], and each page allocated once. *)
+let encode_pages ~page_size code =
+  let n = Array.length code in
+  let per_page = page_size / 4 in
+  let bld = builder () in
+  Array.init
+    (max 1 ((n + per_page - 1) / per_page))
+    (fun p ->
+      let page = Bytes.make page_size '\000' in
+      let first = p * per_page in
+      for i = first to min n (first + per_page) - 1 do
+        Bytes.set_int32_le page ((i - first) * 4) (Int32.of_int (encode_one bld code.(i)))
+      done;
+      page)
 
 let sign_extend v bits =
   let shift = 64 - bits in

@@ -22,6 +22,15 @@ type pools = {
 val encode : Instr.t list -> int32 array * pools
 (** Encodes an instruction sequence, building the pools. *)
 
+val encode_pages : page_size:int -> Instr.t array -> Bytes.t array
+(** The same words as {!encode}, written little-endian into fresh
+    [page_size]-byte buffers: word [i] lands in page [i * 4 / page_size]
+    at offset [i * 4 mod page_size], the tail of the last page is zero,
+    and an empty array still yields one (zero) page. This is what the
+    machine loader maps as code; the pools are not kept. Raises
+    {!Unencodable} as {!encode} does. [page_size] must be a positive
+    multiple of 4. *)
+
 val decode : int32 -> pools -> Instr.t
 (** Decodes one word against the pools; raises [Invalid_argument] on a
     malformed word. *)

@@ -4,9 +4,9 @@ module Instr = Pacstack_isa.Instr
 module Encode = Pacstack_isa.Encode
 
 (* Only what execution needs: the program's function bodies live on in
-   [code] and the symbol tables, its binary encoding is rebuilt on
-   demand ([encoded]), so a loaded image kept alive for reuse stays
-   small. *)
+   [code] and the symbol tables; the binary encoding is not kept (the
+   loader writes it into the code pages, [disassemble] re-encodes), so
+   a loaded image kept alive for reuse stays small. *)
 type t = {
   entry_name : string;
   data : Program.data list;
@@ -151,10 +151,8 @@ let sigreturn_trampoline t = required t "__sigreturn_trampoline"
 
 let code_size t = 4 * Array.length t.code
 
-let encoded t = Encode.encode (Array.to_list t.code)
-
 let is_function_entry t addr = Hashtbl.mem t.entries addr
 
 let disassemble t =
-  let words, pools = encoded t in
+  let words, pools = Encode.encode (Array.to_list t.code) in
   Encode.disassemble words pools

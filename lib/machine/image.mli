@@ -59,11 +59,6 @@ val functions : t -> (string * Pacstack_util.Word64.t * Pacstack_util.Word64.t) 
 val code_size : t -> int
 (** Bytes of code. *)
 
-val encoded : t -> int32 array * Pacstack_isa.Encode.pools
-(** The binary encoding of the code image — what the loader writes into
-    the executable pages. Encoded afresh on every call (the image does
-    not keep it). *)
-
 val is_function_entry : t -> Pacstack_util.Word64.t -> bool
 (** Whether an address is the first instruction of some function — the
     target set of the coarse-grained forward-edge CFI (assumption A2). *)

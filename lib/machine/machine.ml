@@ -47,7 +47,8 @@ type t = {
   mutable obs_mark_dmiss : int;
   mutable obs_mark_xmiss : int;
   (* Threaded-code engine (DESIGN.md, "Threaded-code execution"): one
-     pre-compiled closure per instruction, indexed by (pc-code_base)/4,
+     closure per instruction, compiled on its first execution and
+     shared by every machine of the template, indexed by (pc-code_base)/4,
      plus a page-granular cached execute check over the code region.
      Each op returns the index of the next op (resolved at compile time
      for straight-line code and static branches) or -1 when the
@@ -63,9 +64,11 @@ type t = {
 }
 
 (* What [prepare] builds once per program and every instance shares.
-   [layout] is the program's memory as laid out, never run: code written
-   and sealed rx, data, stack and shadow regions mapped, canary still
-   zero. [instantiate] copies it; [load] runs on it directly. *)
+   [layout] is the program's memory as laid out, never run: code mapped
+   rx, data, stack and shadow regions mapped, canary still zero.
+   [instantiate] copies it; [load] runs on it directly. [ops] is the
+   only part that changes after [prepare]: runs patch compiled ops into
+   it (see [compile_on_first_call]). *)
 and template = {
   cfg : Config.t;
   image : Image.t;
@@ -363,7 +366,8 @@ let exec_reference t =
    reference step does after fetch: bump the counters, record obs, call
    the tracer, execute. Everything derivable from the instruction alone
    — cycle cost, mem_ops delta, obs cell, branch targets, the operand
-   shape — is resolved here, once per image, instead of per step.
+   shape — is resolved here, once per instruction and template,
+   instead of per step.
 
    Fidelity rules (the differential suite enforces them):
    - counters and obs/tracer fire before semantics, as in the reference;
@@ -713,6 +717,22 @@ let compile_op image nops idx instr : t -> int =
       | None -> ());
       -1
 
+(* Every slot of a freshly prepared template holds this stub, so
+   [prepare] compiles nothing and a run compiles only the ops it
+   reaches (about two in five of a fuzz variant's). Every op is entered
+   with pc at its own address, so the stub reads its index from pc,
+   compiles the real op, patches the slot and runs it. The slot is the
+   template's: every instance and clone shares the array, so each op
+   compiles at most once per template. Two domains patching one slot
+   store equivalent closures, so a template shared across domains stays
+   correct. *)
+let compile_on_first_call t =
+  let idx = Int64.to_int (Int64.sub (pc t) Image.code_base) lsr 2 in
+  let code = Image.instructions t.image in
+  let op = compile_op t.image (Array.length code) idx code.(idx) in
+  t.ops.(idx) <- op;
+  op t
+
 (* --- threaded step ---------------------------------------------------- *)
 
 (* [xcache_gen] sentinel: [Memory.generation] restarts at 0 after a
@@ -875,18 +895,13 @@ end
 
 let prepare ?(cfg = Config.default) program =
   let image = Image.build program in
+  let code = Image.instructions image in
   let layout = Memory.create () in
-  let code_bytes = max Memory.page_size (Image.code_size image) in
-  (* write the binary encoding into the code pages, then seal them rx: the
-     code bytes an adversary can disclose are real, and W^X is enforced
-     from the first fetch *)
-  Memory.map layout ~addr:Image.code_base ~size:code_bytes Memory.perm_rw;
-  let words, _pools = Image.encoded image in
-  Array.iteri
-    (fun i w ->
-      Memory.store32 layout (Int64.add Image.code_base (Int64.of_int (4 * i))) w)
-    words;
-  Memory.protect layout ~addr:Image.code_base ~size:code_bytes Memory.perm_rx;
+  (* the binary encoding goes straight into the code pages, mapped rx:
+     the code bytes an adversary can disclose are real, and W^X is
+     enforced from the first fetch *)
+  Memory.map_rx layout ~addr:Image.code_base
+    (Pacstack_isa.Encode.encode_pages ~page_size:Memory.page_size code);
   (* one rw data region covering all objects (the image appends the canary
      guard object when the program does not declare one) *)
   let data_bytes =
@@ -899,8 +914,7 @@ let prepare ?(cfg = Config.default) program =
     ~addr:(Int64.sub Image.stack_top (Int64.of_int Image.stack_size))
     ~size:Image.stack_size Memory.perm_rw;
   Memory.map layout ~addr:Image.shadow_base ~size:Image.shadow_size Memory.perm_rw;
-  let code = Image.instructions image in
-  { cfg; image; layout; ops = Array.mapi (compile_op image (Array.length code)) code }
+  { cfg; image; layout; ops = Array.make (Array.length code) compile_on_first_call }
 
 (* The one constructor of a fresh machine: [mem] is a layout of [tpl]
    nothing else will touch. Keys first, then the canary, from one

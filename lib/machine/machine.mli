@@ -14,15 +14,20 @@ type t
 
 type template
 (** A program prepared to run under one config: its image, its memory
-    laid out (code written and sealed rx; data, stack and shadow regions
-    mapped) and its threaded ops. Immutable: it is never run, and no
-    instance's run changes it, so one template may serve any number of
-    instances. *)
+    laid out (code encoded into rx pages; data, stack and shadow regions
+    mapped) and its threaded ops. Observably immutable: it is never run,
+    and the only thing runs change is which threaded ops have been
+    compiled yet — each op compiles on its first execution by any
+    machine of the template, at most once, and a racing second compile
+    stores an equivalent op. So one template may serve any number of
+    instances, in any number of domains. *)
 
 val prepare : ?cfg:Pacstack_pa.Config.t -> Pacstack_isa.Program.t -> template
 (** Builds the image (appending the runtime stubs and the canary guard
-    object), lays out memory and compiles the threaded ops. [cfg]
-    defaults to {!Pacstack_pa.Config.default}. Draws no randomness. *)
+    object) and lays out memory, encoding the code straight into its
+    pages. It compiles no threaded op: each compiles when first
+    executed. [cfg] defaults to {!Pacstack_pa.Config.default}. Draws no
+    randomness. *)
 
 val instantiate :
   ?keys:Pacstack_pa.Keys.t -> ?rng:Pacstack_util.Rng.t -> template -> t
@@ -33,8 +38,9 @@ val instantiate :
     [__halt] and PC at the entry symbol. The instance has its own,
     empty hook table, the default syscall handler (exit and debug
     print), forward-edge CFI on, no tracer and no obs label. The image
-    and the threaded ops are shared with the template, which is what
-    makes this cheaper than {!load}. *)
+    and the threaded ops are shared with the template, so ops an
+    earlier instance compiled are not compiled again; that and the
+    skipped layout make this cheaper than {!load}. *)
 
 val load :
   ?cfg:Pacstack_pa.Config.t ->

@@ -13,6 +13,7 @@ module Image = Pacstack_machine.Image
 module Trap = Pacstack_machine.Trap
 module Unwind = Pacstack_machine.Unwind
 module Asm = Pacstack_isa.Asm
+module Encode = Pacstack_isa.Encode
 module Reg = Pacstack_isa.Reg
 module Scheme = Pacstack_harden.Scheme
 
@@ -92,16 +93,23 @@ let test_mem_copy_independent () =
   Memory.store64 m 0L 2L;
   Alcotest.check check_w64 "copy unchanged" 1L (Memory.load64 c 0L)
 
-let test_mem_word32 () =
+(* Code pages go in rx with their content: readable and executable at
+   once, never writable, and refused where [map] would refuse them. *)
+let test_mem_map_rx () =
   let m = Memory.create () in
-  Memory.map m ~addr:0L ~size:8192 Memory.perm_rw;
-  Memory.store32 m 0x10L 0xdeadbeefl;
-  Alcotest.(check int32) "32-bit roundtrip" 0xdeadbeefl (Memory.load32 m 0x10L);
-  Alcotest.(check int) "LSB first" 0xef (Memory.load8 m 0x10L);
-  Alcotest.(check int) "MSB last" 0xde (Memory.load8 m 0x13L);
-  let addr = 0xffeL in
-  Memory.store32 m addr 0x11223344l;
-  Alcotest.(check int32) "cross-page roundtrip" 0x11223344l (Memory.load32 m addr)
+  let page b = Bytes.make Memory.page_size b in
+  Memory.map_rx m ~addr:0x1000L [| page '\x11'; page '\x22' |];
+  Alcotest.(check int) "first page content" 0x11 (Memory.load8 m 0x1fffL);
+  Alcotest.(check int) "second page content" 0x22 (Memory.load8 m 0x2000L);
+  Memory.check_exec m 0x2ffcL;
+  Alcotest.check_raises "rx pages refuse stores" (Trap.Fault (Trap.Permission (0x1000L, Trap.Write)))
+    (fun () -> Memory.store8 m 0x1000L 0);
+  Alcotest.check_raises "double map" (Invalid_argument "Memory.map_rx: page 2 already mapped")
+    (fun () -> Memory.map_rx m ~addr:0x2000L [| page '\000' |]);
+  Alcotest.check_raises "unaligned" (Invalid_argument "Memory.map_rx: unaligned address")
+    (fun () -> Memory.map_rx m ~addr:0x8004L [| page '\000' |]);
+  Alcotest.check_raises "short page" (Invalid_argument "Memory.map_rx: page size")
+    (fun () -> Memory.map_rx m ~addr:0x8000L [| Bytes.make 16 '\000' |])
 
 (* The one-entry TLBs must never let a cached translation outlive a
    permission change: populate the TLB, drop the permission, and the very
@@ -1095,31 +1103,169 @@ let test_forward_cfi_allows_entries () =
   | Machine.Halted 0 -> ()
   | _ -> Alcotest.fail "entry-targeted blr should pass"
 
+(* Word [i] of the code image as read back through the data path. *)
+let code_word mem i =
+  let addr = Int64.add Image.code_base (Int64.of_int (4 * i)) in
+  let dword = Memory.load64 mem (Int64.logand addr (Int64.lognot 7L)) in
+  let shift = if Int64.logand addr 4L = 0L then 0 else 32 in
+  Int64.to_int32 (Int64.shift_right_logical dword shift)
+
 let test_code_bytes_resident () =
-  (* the encoded program is readable in the executable pages and
-     disassembles back to itself *)
+  (* the encoded program is readable in the executable pages, word for
+     word, and disassembles back to itself *)
   let prog = Asm.parse ".entry main\n.func main\n  paciasp\n  nop\n  hlt\n.endfunc\n" in
   let m = Machine.load prog in
   let image = Machine.image m in
-  let words, pools = Image.encoded image in
+  let words, pools = Encode.encode (Array.to_list (Image.instructions image)) in
   Array.iteri
     (fun i w ->
-      let addr = Int64.add Image.code_base (Int64.of_int (4 * i)) in
-      let in_mem =
-        Int64.to_int
-          (Int64.logand (Memory.load64 (Machine.memory m) (Int64.logand addr (Int64.lognot 7L)))
-             0xffffffffL)
-      in
-      ignore in_mem;
-      let b0 = Memory.load8 (Machine.memory m) addr in
-      Alcotest.(check int) "low byte matches" (Int32.to_int w land 0xff) b0)
+      Alcotest.(check int32) (Printf.sprintf "word %d" i) w (code_word (Machine.memory m) i))
     words;
   Alcotest.(check bool) "disassembly mentions paciasp" true
-    (String.length (Pacstack_isa.Encode.disassemble words pools) > 0);
+    (String.starts_with ~prefix:"paciasp" (Encode.disassemble words pools));
   Alcotest.(check bool) "entry is a function entry" true
     (Image.is_function_entry image (Image.entry image));
   Alcotest.(check bool) "entry+4 is not" false
     (Image.is_function_entry image (Int64.add (Image.entry image) 4L))
+
+(* The layout [prepare] built before code was encoded straight into its
+   pages: map the code rw, store it one 32-bit word at a time, seal it
+   rx, then map the data, stack and shadow regions. *)
+let store32 mem addr w =
+  for i = 0 to 3 do
+    Memory.store8 mem
+      (Int64.add addr (Int64.of_int i))
+      (Int32.to_int (Int32.shift_right_logical w (8 * i)) land 0xff)
+  done
+
+let word_by_word_layout image =
+  let mem = Memory.create () in
+  let code_bytes = max Memory.page_size (Image.code_size image) in
+  Memory.map mem ~addr:Image.code_base ~size:code_bytes Memory.perm_rw;
+  let words, _ = Encode.encode (Array.to_list (Image.instructions image)) in
+  Array.iteri (fun i w -> store32 mem (Int64.add Image.code_base (Int64.of_int (4 * i))) w) words;
+  Memory.protect mem ~addr:Image.code_base ~size:code_bytes Memory.perm_rx;
+  let data_bytes =
+    List.fold_left
+      (fun acc (d : Pacstack_isa.Program.data) -> acc + ((d.size + 15) land lnot 15))
+      16 (Image.data image)
+  in
+  Memory.map mem ~addr:Image.data_base ~size:(max Memory.page_size data_bytes) Memory.perm_rw;
+  Memory.map mem
+    ~addr:(Int64.sub Image.stack_top (Int64.of_int Image.stack_size))
+    ~size:Image.stack_size Memory.perm_rw;
+  Memory.map mem ~addr:Image.shadow_base ~size:Image.shadow_size Memory.perm_rw;
+  mem
+
+(* [prepare]'s layout equals the word-by-word one on every fuzz variant
+   (200 programs x every scheme x peephole off/on): same pages, same
+   permissions, same bytes. Given keys, an instance's generator only
+   draws the canary, so the oracle stores the same value. *)
+let test_layout_matches_word_stores () =
+  let keys = Keys.generate ~fast:true (Rng.create 3L) in
+  for seed = 0 to 199 do
+    let ast = Pacstack_fuzz.Driver.program_of_seed ~campaign_seed:1L seed in
+    List.iter
+      (fun scheme ->
+        List.iter
+          (fun optimize ->
+            let tpl = Machine.prepare (Pacstack_minic.Compile.compile ~scheme ~optimize ast) in
+            let m = Machine.instantiate ~keys ~rng:(Rng.create 7L) tpl in
+            let image = Machine.image m in
+            let oracle = word_by_word_layout image in
+            Memory.store64 oracle
+              (Option.get (Image.symbol image Machine.canary_symbol))
+              (Rng.next64 (Rng.create 7L));
+            let expected = Memory.digest oracle and got = Memory.digest (Machine.memory m) in
+            if not (Int64.equal expected got) then
+              Alcotest.failf "seed %d, %s, peephole %b: layout digest %Lx, word stores %Lx" seed
+                (Scheme.to_string scheme) optimize got expected)
+          [ false; true ])
+      Scheme.all
+  done
+
+(* Threaded ops compile on first execution into the template's shared
+   array. However a template's ops get warmed — by an earlier instance,
+   by a sibling instance in another domain, by a paused run and its
+   clone, or one [step] at a time — every run must end where the
+   reference engine on a fresh [load] ends. The reference engine never
+   touches the ops, so a stub that compiled the wrong op would show. *)
+type summary = {
+  regs : int64 array;
+  digest : int64;
+  outcome : Machine.outcome;
+  cycles : int;
+  output : int64 list;
+}
+
+let summary m outcome =
+  {
+    regs = Machine.context_words (Machine.save_context m);
+    digest = Memory.digest (Machine.memory m);
+    outcome;
+    cycles = Machine.cycles m;
+    output = Machine.output m;
+  }
+
+let test_lazy_ops_any_warmup () =
+  let cfg = Config.make ~pac_bits:12 () in
+  List.iter
+    (fun scheme ->
+      let program = Pacstack_minic.Compile.compile ~scheme (Pacstack_inject.Victim.program ()) in
+      let rng seed = Rng.create (Int64.of_int seed) in
+      let expected seed =
+        let m = Machine.load ~cfg ~rng:(rng seed) program in
+        summary m (Machine.Reference.run m)
+      in
+      let check how seed got =
+        let e = expected seed in
+        let what s = Printf.sprintf "%s, %s: %s" (Scheme.to_string scheme) how s in
+        (match e.outcome with
+        | Machine.Halted _ -> ()
+        | _ -> Alcotest.failf "%s" (what "reference run did not halt"));
+        Alcotest.(check bool) (what "registers") true (e.regs = got.regs);
+        Alcotest.(check bool) (what "memory") true (Int64.equal e.digest got.digest);
+        Alcotest.(check bool) (what "outcome") true (e.outcome = got.outcome);
+        Alcotest.(check int) (what "cycles") e.cycles got.cycles;
+        Alcotest.(check (list int64)) (what "output") e.output got.output
+      in
+      let run_instance tpl seed =
+        let m = Machine.instantiate ~rng:(rng seed) tpl in
+        summary m (Machine.run m)
+      in
+      (* two instances in sequence: the second finds the first's ops *)
+      let tpl = Machine.prepare ~cfg program in
+      check "first instance" 1 (run_instance tpl 1);
+      check "second instance" 2 (run_instance tpl 2);
+      (* two instances in two domains at once, on a cold template *)
+      let tpl = Machine.prepare ~cfg program in
+      let a = Domain.spawn (fun () -> run_instance tpl 3) in
+      let b = Domain.spawn (fun () -> run_instance tpl 4) in
+      check "domain A" 3 (Domain.join a);
+      check "domain B" 4 (Domain.join b);
+      (* a run paused part-way, then both it and its clone run on *)
+      let tpl = Machine.prepare ~cfg program in
+      let m = Machine.instantiate ~rng:(rng 5) tpl in
+      (match
+         Machine.run_until m ~stop:(fun m -> Machine.instructions_retired m >= 200)
+       with
+      | None -> ()
+      | Some _ -> Alcotest.fail "run ended before the pause");
+      let c = Machine.clone m in
+      check "clone after pause" 5 (summary c (Machine.run c));
+      check "paused run resumed" 5 (summary m (Machine.run m));
+      (* one [step] at a time, on a cold template *)
+      let m = Machine.instantiate ~rng:(rng 6) (Machine.prepare ~cfg program) in
+      let rec steps fuel =
+        match Machine.halted m with
+        | Some code -> Machine.Halted code
+        | None when fuel = 0 -> Machine.Out_of_fuel
+        | None ->
+          Machine.step m;
+          steps (fuel - 1)
+      in
+      check "single steps" 6 (summary m (steps 10_000_000)))
+    [ Scheme.pacstack; Scheme.stack_protector; Scheme.shadow_stack ]
 
 let () =
   Alcotest.run "machine"
@@ -1135,7 +1281,7 @@ let () =
           Alcotest.test_case "double map" `Quick test_mem_double_map;
           Alcotest.test_case "peek/poke" `Quick test_mem_peek_poke;
           Alcotest.test_case "copy independence" `Quick test_mem_copy_independent;
-          Alcotest.test_case "32-bit access" `Quick test_mem_word32;
+          Alcotest.test_case "map rx pages" `Quick test_mem_map_rx;
           Alcotest.test_case "TLB invalidated by protect" `Quick test_mem_tlb_protect;
           Alcotest.test_case "TLB invalidated by unmap" `Quick test_mem_tlb_unmap;
           Alcotest.test_case "exec TLB invalidation" `Quick test_mem_tlb_exec;
@@ -1211,5 +1357,8 @@ let () =
           Alcotest.test_case "CFI blocks mid-function" `Quick test_forward_cfi_blocks_midfunction;
           Alcotest.test_case "CFI allows entries" `Quick test_forward_cfi_allows_entries;
           Alcotest.test_case "code bytes resident" `Quick test_code_bytes_resident;
+          Alcotest.test_case "layout matches word stores" `Quick
+            test_layout_matches_word_stores;
+          Alcotest.test_case "lazy ops under any warm-up" `Quick test_lazy_ops_any_warmup;
         ] );
     ]
