@@ -60,43 +60,53 @@ let birthday_harvest ?bits ~trials rng =
 
 let mask prf ~bits ~modifier = token prf ~bits ~data:0L ~modifier
 
+(* The harvest stops at the first visible collision (i, first seen at j).
+   Before it every visible token is distinct, so a scan over all [draws]
+   tokens would name the same pair, and nothing drawn after [i] can change
+   it: the rest of the harvest's draws are skipped, not made. *)
+let first_visible_collision ~masked ~bits ~data ~draws prf rng =
+  let seen = Hashtbl.create 32 in
+  let rec draw i =
+    if i >= draws then None
+    else
+      let modifier = Rng.next64 rng in
+      let t = token prf ~bits ~data ~modifier in
+      let visible = Int64.to_int (if masked then Int64.logxor t (mask prf ~bits ~modifier) else t) in
+      match Hashtbl.find_opt seen visible with
+      | Some j ->
+        Rng.skip rng (draws - i - 1);
+        Some (j, i)
+      | None ->
+        Hashtbl.add seen visible i;
+        draw (i + 1)
+  in
+  draw 0
+
+(* The true token at index [k] of a harvest whose modifiers were drawn
+   from [start]. *)
+let harvested_token prf ~bits ~data start k =
+  let r = Rng.copy start in
+  Rng.skip r k;
+  token prf ~bits ~data ~modifier:(Rng.next64 r)
+
+(* The adversary substitutes a visibly colliding pair if the harvest has
+   one, otherwise the pair [blind rng] names, and wins iff the true
+   (unmasked) tokens collide. *)
+let substitution_wins ~masked ~bits ~data ~draws ~blind prf rng =
+  let start = Rng.copy rng in
+  let j, i =
+    match first_visible_collision ~masked ~bits ~data ~draws prf rng with
+    | Some pair -> pair
+    | None -> blind rng
+  in
+  Word64.equal (harvested_token prf ~bits ~data start j) (harvested_token prf ~bits ~data start i)
+
 let on_graph_trial ~masked ~bits ~harvest prf rng =
   let ret_c = Rng.next64 rng in
-  (* Harvest [harvest] authenticated return addresses for ret_C along
-     distinct paths (distinct previous-aret modifiers). The adversary sees
-     the stored (possibly masked) token together with its modifier. *)
-  let entries =
-    Array.init harvest (fun _ ->
-        let modifier = Rng.next64 rng in
-        let t = token prf ~bits ~data:ret_c ~modifier in
-        let visible = if masked then Int64.logxor t (mask prf ~bits ~modifier) else t in
-        (modifier, t, visible))
-  in
-  (* Pick the substitution pair: with visible collisions, a real one;
-     otherwise (masking) any pair. *)
-  let pick_visible_collision () =
-    let seen = Hashtbl.create harvest in
-    let found = ref None in
-    Array.iteri
-      (fun i (_, _, visible) ->
-        match Hashtbl.find_opt seen visible with
-        | Some j when !found = None -> found := Some (j, i)
-        | Some _ | None -> Hashtbl.replace seen visible i)
-      entries;
-    !found
-  in
-  let pair =
-    match pick_visible_collision () with
-    | Some p -> p
-    | None ->
+  (* AG-Load; without a visible collision (masking) any pair will do. *)
+  substitution_wins ~masked ~bits ~data:ret_c ~draws:harvest prf rng ~blind:(fun rng ->
       let i = Rng.int rng harvest in
-      let j = (i + 1 + Rng.int rng (harvest - 1)) mod harvest in
-      (i, j)
-  in
-  let i, j = pair in
-  let (_, t_a, _), (_, t_b, _) = (entries.(i), entries.(j)) in
-  (* AG-Load succeeds iff the true (unmasked) tokens collide. *)
-  Word64.equal t_a t_b
+      (i, (i + 1 + Rng.int rng (harvest - 1)) mod harvest))
 
 let off_graph_trial ~arbitrary ~bits prf rng =
   let ret_c = Rng.next64 rng in
@@ -178,28 +188,10 @@ let theorem1_check ~bits ~queries ~trials rng =
   for _ = 1 to trials do
     let prf = fresh_prf rng in
     let data = Rng.next64 rng in
-    let entries =
-      Array.init queries (fun _ ->
-          let modifier = Rng.next64 rng in
-          let t = token prf ~bits ~data ~modifier in
-          (t, Int64.logxor t (mask prf ~bits ~modifier)))
-    in
-    (* best effort: pick a visibly-colliding masked pair if any, else any *)
-    let pick =
-      let seen = Hashtbl.create queries in
-      let found = ref None in
-      Array.iteri
-        (fun i (_, visible) ->
-          match Hashtbl.find_opt seen visible with
-          | Some j when !found = None -> found := Some (j, i)
-          | Some _ | None -> Hashtbl.replace seen visible i)
-        entries;
-      match !found with
-      | Some p -> p
-      | None -> (0, 1 + Rng.int rng (queries - 1))
-    in
-    let (t1, _), (t2, _) = (entries.(fst pick), entries.(snd pick)) in
-    if Word64.equal t1 t2 then incr successes
+    (* best effort: a visibly-colliding masked pair if any, else any *)
+    if substitution_wins ~masked:true ~bits ~data ~draws:queries prf rng ~blind:(fun rng ->
+           (0, 1 + Rng.int rng (queries - 1)))
+    then incr successes
   done;
   let collision_advantage =
     Float.max 0.0

@@ -44,7 +44,27 @@ val violation_success :
     violation. For [On_graph] the adversary first harvests [harvest]
     (default 2000) authenticated return addresses along distinct paths;
     without masking it exploits any visible collision, with masking it
-    must pick blindly. *)
+    must pick blindly. The harvest stops at the first visible collision
+    ({!first_visible_collision}); the estimate and the generator's state
+    are those of a full harvest. *)
+
+val first_visible_collision :
+  masked:bool ->
+  bits:int ->
+  data:Pacstack_util.Word64.t ->
+  draws:int ->
+  Pacstack_qarma.Prf.t ->
+  Pacstack_util.Rng.t ->
+  (int * int) option
+(** The §6.2 harvesting adversary's pick, shared by the [On_graph] cell
+    and {!theorem1_check}. The next [draws] words of the generator are the
+    modifiers of [draws] [bits]-bit tokens over [data]; the adversary sees
+    each token, xored with its mask when [masked]. The result is
+    [Some (j, i)], [j < i], for the first index [i] whose visible token
+    equals that of an earlier index [j], or [None] if all [draws] visible
+    tokens differ. Either way the generator ends exactly [draws] draws on:
+    the modifiers after [i] are skipped ({!Pacstack_util.Rng.skip}), not
+    drawn. *)
 
 (** {1 Appendix A — mask indistinguishability} *)
 

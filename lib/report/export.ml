@@ -37,14 +37,7 @@ let table1 ?(seed = 1L) ?(scale = 1.0) ~dir () =
           Printf.sprintf "%.3e" theory;
           Printf.sprintf "%.3e" est.Games.rate;
         ])
-      [
-        (Analysis.On_graph, false, 8, 20_000);
-        (Analysis.On_graph, true, 8, 60_000);
-        (Analysis.Off_graph_to_call_site, false, 8, 200_000);
-        (Analysis.Off_graph_to_call_site, true, 8, 200_000);
-        (Analysis.Off_graph_arbitrary, false, 5, 400_000);
-        (Analysis.Off_graph_arbitrary, true, 5, 400_000);
-      ]
+      Plans.table1_cells
   in
   write_csv ~dir ~name:"table1.csv"
     ([ "violation"; "masking"; "bits"; "theory"; "measured" ] :: rows)

@@ -14,6 +14,10 @@ let next64 t =
   t.state <- Int64.add t.state golden_gamma;
   mix t.state
 
+let skip t n =
+  if n < 0 then invalid_arg "Rng.skip";
+  t.state <- Int64.add t.state (Int64.mul (Int64.of_int n) golden_gamma)
+
 let split t = create (next64 t)
 
 let split_n t n =

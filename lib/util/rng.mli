@@ -25,6 +25,11 @@ val copy : t -> t
 val next64 : t -> int64
 (** Uniform 64-bit word. *)
 
+val skip : t -> int -> unit
+(** [skip t n] advances [t] exactly as [n] calls of {!next64} would, in
+    constant time (SplitMix64's state is a counter: it adds [n] times the
+    stream's increment). Raises [Invalid_argument] for [n < 0]. *)
+
 val bits : t -> int -> int64
 (** [bits t n] is a uniform [n]-bit word, [0 <= n <= 64]. *)
 

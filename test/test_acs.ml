@@ -215,6 +215,134 @@ let test_theorem1 () =
     (th.Games.collision_advantage < 0.02);
   Alcotest.(check bool) "Theorem 1 bound holds" true th.Games.holds
 
+(* --- Early-exit harvest against the eager one ------------------------------- *)
+
+(* Test-side reference: the eager on-graph harvest, with every
+   modifier drawn and every token computed up front, then one scan for the
+   first visible collision. The early-exit games must name the same pair,
+   score the same trials and leave the generator in the same state. *)
+let eager_harvest ~masked ~bits ~data ~draws prf rng =
+  Array.init draws (fun _ ->
+      let modifier = Rng.next64 rng in
+      let t = Prf.mac prf ~bits ~data ~modifier in
+      let visible = if masked then Int64.logxor t (Prf.mac prf ~bits ~data:0L ~modifier) else t in
+      (t, visible))
+
+let eager_pick entries =
+  let seen = Hashtbl.create (Array.length entries) in
+  let found = ref None in
+  Array.iteri
+    (fun i (_, visible) ->
+      match Hashtbl.find_opt seen visible with
+      | Some j when !found = None -> found := Some (j, i)
+      | Some _ | None -> Hashtbl.replace seen visible i)
+    entries;
+  !found
+
+let eager_on_graph ~masked ~bits ~harvest ~trials rng =
+  let successes = ref 0 in
+  for _ = 1 to trials do
+    let prf = Prf.create_fast (Rng.next64 rng) in
+    let ret_c = Rng.next64 rng in
+    let entries = eager_harvest ~masked ~bits ~data:ret_c ~draws:harvest prf rng in
+    let i, j =
+      match eager_pick entries with
+      | Some p -> p
+      | None ->
+        let i = Rng.int rng harvest in
+        (i, (i + 1 + Rng.int rng (harvest - 1)) mod harvest)
+    in
+    if Word64.equal (fst entries.(i)) (fst entries.(j)) then incr successes
+  done;
+  Games.estimate ~successes:!successes ~trials
+
+let eager_theorem1 ~bits ~queries ~trials rng =
+  let successes = ref 0 in
+  for _ = 1 to trials do
+    let prf = Prf.create_fast (Rng.next64 rng) in
+    let data = Rng.next64 rng in
+    let entries = eager_harvest ~masked:true ~bits ~data ~draws:queries prf rng in
+    let j, i = match eager_pick entries with Some p -> p | None -> (0, 1 + Rng.int rng (queries - 1)) in
+    if Word64.equal (fst entries.(j)) (fst entries.(i)) then incr successes
+  done;
+  let collision_advantage =
+    Float.max 0.0 ((float_of_int !successes /. float_of_int trials) -. (2.0 ** float_of_int (-bits)))
+  in
+  let distinguisher_advantage = Games.mask_distinguisher_advantage ~bits ~queries ~trials rng in
+  let bound = (2.0 *. distinguisher_advantage) +. (3.0 /. sqrt (float_of_int trials)) in
+  { Games.collision_advantage; distinguisher_advantage; bound; holds = collision_advantage <= bound }
+
+(* b = 20 with 17 draws almost never collides: the blind fallback. *)
+let harvest_grid =
+  List.concat_map
+    (fun bits -> List.concat_map (fun draws -> [ (bits, draws, false); (bits, draws, true) ]) [ 2; 17; 600 ])
+    [ 4; 8; 12; 16; 20 ]
+
+let grid_label (bits, draws, masked) = Printf.sprintf "b=%d n=%d masked=%b" bits draws masked
+
+(* Runs [lazy_] and [eager] on equal generators; both results and the
+   generators' next words must agree. *)
+let check_same_as_eager label testable ~lazy_ ~eager seed =
+  let r1 = Rng.create seed and r2 = Rng.create seed in
+  Alcotest.check testable label (eager r2) (lazy_ r1);
+  Alcotest.(check int64) (label ^ ": generator state") (Rng.next64 r2) (Rng.next64 r1)
+
+let test_first_collision_matches_eager () =
+  let pick = Alcotest.(option (pair int int)) in
+  List.iteri
+    (fun n ((bits, draws, masked) as cell) ->
+      for trial = 0 to 19 do
+        let prf = Prf.create_fast (Int64.of_int ((n * 20) + trial)) in
+        check_same_as_eager (grid_label cell) pick
+          ~lazy_:(Games.first_visible_collision ~masked ~bits ~data:0x4000L ~draws prf)
+          ~eager:(fun rng -> eager_pick (eager_harvest ~masked ~bits ~data:0x4000L ~draws prf rng))
+          (Int64.of_int (7 * ((n * 20) + trial)))
+      done)
+    harvest_grid
+
+let estimate_t =
+  Alcotest.testable
+    (fun fmt (e : Games.estimate) -> Format.fprintf fmt "%d/%d" e.Games.successes e.Games.trials)
+    ( = )
+
+let test_on_graph_matches_eager () =
+  List.iteri
+    (fun n ((bits, harvest, masked) as cell) ->
+      check_same_as_eager (grid_label cell) estimate_t
+        ~lazy_:(Games.violation_success ~masked ~kind:Analysis.On_graph ~bits ~harvest ~trials:60)
+        ~eager:(eager_on_graph ~masked ~bits ~harvest ~trials:60)
+        (Int64.of_int (1000 + n)))
+    harvest_grid
+
+let test_theorem1_matches_eager () =
+  let theorem1_t =
+    Alcotest.testable
+      (fun fmt (th : Games.theorem1) ->
+        Format.fprintf fmt "collision %h distinguisher %h bound %h holds %b" th.Games.collision_advantage
+          th.Games.distinguisher_advantage th.Games.bound th.Games.holds)
+      ( = )
+  in
+  List.iteri
+    (fun n ((bits, queries, _) as cell) ->
+      check_same_as_eager (grid_label cell) theorem1_t
+        ~lazy_:(Games.theorem1_check ~bits ~queries ~trials:30)
+        ~eager:(eager_theorem1 ~bits ~queries ~trials:30)
+        (Int64.of_int (2000 + n)))
+    (List.filter (fun (_, _, masked) -> masked) harvest_grid)
+
+let test_rng_skip () =
+  List.iter
+    (fun n ->
+      let skipped = Rng.create 0x5eedL and drawn = Rng.create 0x5eedL in
+      Rng.skip skipped n;
+      for _ = 1 to n do
+        ignore (Rng.next64 drawn)
+      done;
+      Alcotest.(check int64) (Printf.sprintf "skip %d" n) (Rng.next64 drawn) (Rng.next64 skipped))
+    [ 0; 1; 7; 1000 ];
+  Alcotest.check_raises "negative skip" (Invalid_argument "Rng.skip") (fun () ->
+      Rng.skip (Rng.create 1L) (-1))
+
 let test_game_argument_validation () =
   let rng = Rng.create 29L in
   Alcotest.check_raises "zero trials" (Invalid_argument "Games.birthday_harvest") (fun () ->
@@ -254,5 +382,13 @@ let () =
           Alcotest.test_case "guessing means" `Quick test_guessing_means;
           Alcotest.test_case "Theorem 1 bound" `Quick test_theorem1;
           Alcotest.test_case "argument validation" `Quick test_game_argument_validation;
+        ] );
+      ( "early exit",
+        [
+          Alcotest.test_case "Rng.skip is n draws" `Quick test_rng_skip;
+          Alcotest.test_case "first visible collision = eager scan" `Quick
+            test_first_collision_matches_eager;
+          Alcotest.test_case "on-graph cells = eager harvest" `Quick test_on_graph_matches_eager;
+          Alcotest.test_case "Theorem 1 = eager harvest" `Quick test_theorem1_matches_eager;
         ] );
     ]
